@@ -3,7 +3,6 @@ with Gini splits, and cross-validated selection of the resampling fraction.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -118,12 +117,11 @@ def train_forest(
     n_trees: int = 100,
     max_features: Optional[int] = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> ForestModel:
     """Bootstrap-aggregated Gini trees grown until pure or < 2 samples.
 
-    Per-tree seeds derive from the master seed, so thread-parallel growth
-    yields the same forest as sequential growth.
+    Each tree draws its bootstrap and feature samples from its own child of
+    the master seed.
     """
     X = np.asarray(X)
     y = np.asarray(y, dtype=int)
@@ -134,18 +132,11 @@ def train_forest(
         max_features = max(1, int(math.isqrt(X.shape[1])))
     max_features = min(max_features, X.shape[1])
 
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
-
-    def grow(tree_seed) -> TreeNode:
+    trees = []
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        return _grow_tree(X[rows], y[rows], rng, max_features, n_classes)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(grow, seeds))
-    else:
-        trees = [grow(s) for s in seeds]
+        trees.append(_grow_tree(X[rows], y[rows], rng, max_features, n_classes))
     return ForestModel(trees=trees, n_classes=n_classes, max_features=max_features, seed=seed)
 
 
@@ -184,7 +175,6 @@ def cv_select_pu(
     folds: int = 5,
     n_trees: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[float, list[PuCandidate]]:
     """Pick the resampling fraction by k-fold CV of the random forest.
 
@@ -213,9 +203,7 @@ def cv_select_pu(
                 list(train_rows), p_u, seed=seed + fold, label_of=lambda r: int(y[r])
             )
             rows = np.asarray(balanced)
-            forest = train_forest(
-                X[rows], y[rows], n_trees=n_trees, seed=seed + 31 * fold, threads=threads
-            )
+            forest = train_forest(X[rows], y[rows], n_trees=n_trees, seed=seed + 31 * fold)
             pred = predict_forest(forest, X[test_mask])
             scores.append(prf_macro(confusion(y[test_mask], pred, n_classes)).macro_f1)
         candidates.append(PuCandidate(p_u=float(p_u), fold_scores=scores))

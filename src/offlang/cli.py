@@ -79,10 +79,6 @@ def _resolve_task(args, config: dict) -> str:
     return task.lower()
 
 
-def _threads(args) -> int:
-    return 1 if args.deterministic else max(1, args.threads)
-
-
 def _stratified_split(examples, val_fraction: float, seed: int):
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
@@ -110,7 +106,7 @@ def _ngram_config(config: dict) -> embeddings.NgramConfig:
     )
 
 
-def _cbow_params(config: dict, seed: int, workers: int) -> embeddings.CbowTrainParams:
+def _cbow_params(config: dict, seed: int) -> embeddings.CbowTrainParams:
     return embeddings.CbowTrainParams(
         window=int(cfg(config, "embeddings.window", 5)),
         negatives=int(cfg(config, "embeddings.negatives", 5)),
@@ -118,18 +114,17 @@ def _cbow_params(config: dict, seed: int, workers: int) -> embeddings.CbowTrainP
         lr=float(cfg(config, "embeddings.lr", 0.025)),
         subsample=float(cfg(config, "embeddings.subsample", 1e-4)),
         seed=seed,
-        workers=workers,
     )
 
 
-def _embedding_matrix(config: dict, records, vocab, seed: int, workers: int) -> np.ndarray:
+def _embedding_matrix(config: dict, records, vocab, seed: int) -> np.ndarray:
     source = cfg(config, "embeddings.source", "cbow")
     if source == "cbow":
         token_lists = [corpus.tokenize(r.clean_text) for r in records]
         ft = embeddings.train_cbow(
             token_lists,
             _ngram_config(config),
-            _cbow_params(config, seed, workers),
+            _cbow_params(config, seed),
             dim=int(cfg(config, "embeddings.dim", 100)),
         )
         return embeddings.build_embedding_matrix(vocab, ft)
@@ -171,10 +166,8 @@ def _train_config(config: dict, seed: int) -> model.TrainConfig:
 _DEFAULT_PU = {"a": 0.3, "b": 0.2, "c": 0.7}
 
 
-def _resample_train(examples, config: dict, task: str, seed: int, label_of=None):
+def _resample_train(examples, config: dict, task: str, seed: int, label_of=lambda ex: ex.label):
     p_u = float(cfg(config, "resample.p_u", _DEFAULT_PU[task]))
-    if label_of is None:
-        return resample.rebalance(examples, p_u, seed), p_u
     return resample.rebalance(examples, p_u, seed, label_of=label_of), p_u
 
 
@@ -237,7 +230,7 @@ def cmd_embed_train(args) -> int:
     ft = embeddings.train_cbow(
         token_lists,
         _ngram_config(config),
-        _cbow_params(config, seed, _threads(args)),
+        _cbow_params(config, seed),
         dim=int(cfg(config, "embeddings.dim", 100)),
     )
     embeddings.save_fasttext(ft, out / "fasttext.txt")
@@ -265,7 +258,7 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     out = _out_dir(config)
     records, vocab, arch, train_set, val_set, task, seed, p_u = _prepare_training(config, args)
-    matrix = _embedding_matrix(config, records, vocab, seed, _threads(args))
+    matrix = _embedding_matrix(config, records, vocab, seed)
     params = model.build(arch, matrix, seed)
     train_cfg = _train_config(config, seed)
     best, history = model.train(params, train_set, val_set, train_cfg)
@@ -359,20 +352,38 @@ def cmd_evaluate(args) -> int:
         r.id: index[r.label_for(task)]
         for r in corpus.filter_task(_load_records(config, "data.test_path"), task)
     }
+    if not gold:
+        raise ConfigError(f"the gold file has no records for task {task}")
+    # ids outside the gold set are ignored: predict labels every record,
+    # including those that are NULL for tasks b and c
     predictions_path = cfg(config, "evaluate.predictions")
-    y_true, y_pred = [], []
+    predicted: dict[str, int] = {}
     with open(predictions_path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != ["id", "label"]:
             raise ConfigError(f"{predictions_path}: expected header id,label")
-        for line in fh:
-            rid, label = line.rstrip("\n").split(",")
-            if rid in gold:
-                y_true.append(gold[rid])
-                y_pred.append(index[label])
-    if not y_true:
-        raise ConfigError("no prediction ids matched the gold file")
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != 2:
+                raise ConfigError(f"{predictions_path}:{line_no}: expected 2 fields, got {len(fields)}")
+            rid, label = fields
+            if label not in index:
+                raise ConfigError(
+                    f"{predictions_path}:{line_no}: unknown label {label!r} for task {task}; "
+                    f"expected one of {', '.join(names)}"
+                )
+            if rid in predicted:
+                raise ConfigError(f"{predictions_path}:{line_no}: duplicate prediction id {rid!r}")
+            predicted[rid] = index[label]
+    missing = [rid for rid in gold if rid not in predicted]
+    if missing:
+        raise ConfigError(
+            f"{predictions_path}: {len(missing)} of {len(gold)} gold ids have no prediction "
+            f"(first: {missing[0]!r})"
+        )
 
+    y_true = list(gold.values())
+    y_pred = [predicted[rid] for rid in gold]
     report = metrics.prf_macro(metrics.confusion(y_true, y_pred, len(names)), names)
     report.write_csv(out / "metrics.csv")
     _write_run_json(out, "evaluate", config, _resolve_seed(args, config))
@@ -399,7 +410,6 @@ def cmd_tune_pu(args) -> int:
         folds=int(cfg(config, "baseline.folds", 5)),
         n_trees=int(cfg(config, "baseline.n_trees", 100)),
         seed=seed,
-        threads=_threads(args),
     )
     baseline.write_pu_report(candidates, out / "pu_report.csv")
     _write_run_json(out, "tune-pu", config, seed)
@@ -413,7 +423,7 @@ def cmd_tune_hparams(args) -> int:
     config = load_config(args.config)
     out = _out_dir(config)
     records, vocab, arch, train_set, val_set, task, seed, _ = _prepare_training(config, args)
-    matrix = _embedding_matrix(config, records, vocab, seed, _threads(args))
+    matrix = _embedding_matrix(config, records, vocab, seed)
     space = hpo.SearchSpace.default()
 
     def objective(point: dict[str, float]) -> float:
@@ -465,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--task", choices=["a", "b", "c"], help="OLID subtask")
         p.add_argument("--seed", type=int, default=None, help="override data.seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads where supported")
         p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded numeric paths")
+                       help="accepted for compatibility; every run is deterministic")
         p.set_defaults(fn=fn)
         return p
 

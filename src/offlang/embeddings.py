@@ -4,7 +4,6 @@ embeddings and the embedding-matrix builder that seeds the classifier.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -64,7 +63,6 @@ class CbowTrainParams:
     lr: float = 0.025  # decayed linearly to 0 over all processed tokens
     subsample: float = 1e-4
     seed: int = 0
-    workers: int = 1  # >1 shards sentences across threads; nondeterministic
 
     def __post_init__(self):
         if self.window < 1 or self.negatives < 1:
@@ -139,10 +137,6 @@ class FastTextModel:
         return self._rows(ids).mean(axis=0)
 
 
-def word_vector(model: FastTextModel, word: str) -> np.ndarray:
-    return model.word_vector(word)
-
-
 def cbow_pair_loss(
     word_in: np.ndarray,
     bucket_vecs: np.ndarray,
@@ -198,48 +192,6 @@ def _keep_probability(count: int, total: int, threshold: float) -> float:
     return min(1.0, p)
 
 
-def _train_shard(
-    model: FastTextModel,
-    sentences: list[np.ndarray],
-    params: CbowTrainParams,
-    keep_prob: np.ndarray,
-    noise_cdf: np.ndarray,
-    total_tokens: int,
-    seed: int,
-) -> None:
-    rng = np.random.default_rng(seed)
-    v = len(model.tokens)
-    constituents = model._constituents
-    word_in, bucket_vecs, word_out = model.word_in, model.bucket_vecs, model.word_out
-    processed = 0
-    for _ in range(params.epochs):
-        for sent in sentences:
-            alpha = params.lr * max(1.0 - processed / total_tokens, 0.0)
-            processed += len(sent)
-            kept = sent[rng.random(len(sent)) < keep_prob[sent]]
-            for pos in range(len(kept)):
-                b = int(rng.integers(1, params.window + 1))
-                lo = max(0, pos - b)
-                context = np.concatenate([kept[lo:pos], kept[pos + 1 : pos + 1 + b]])
-                if len(context) == 0:
-                    continue
-                center = int(kept[pos])
-                negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
-                negs = negs[negs != center]
-
-                ctx_ids = [constituents[c] for c in context]
-                _, input_grads, (targets, out_grads) = cbow_pair_loss(
-                    word_in, bucket_vecs, word_out, ctx_ids, center, negs
-                )
-                # negatives may repeat; subtract.at accumulates duplicates
-                np.subtract.at(word_out, targets, alpha * out_grads)
-                for rid, grad in input_grads.items():
-                    if rid < v:
-                        word_in[rid] -= alpha * grad
-                    else:
-                        bucket_vecs[rid - v] -= alpha * grad
-
-
 def train_cbow(
     token_lists: Iterable[list[str]],
     cfg: NgramConfig | None = None,
@@ -248,8 +200,8 @@ def train_cbow(
 ) -> FastTextModel:
     """Train CBOW negative-sampling embeddings over tokenized sentences.
 
-    Single-threaded training is bit-reproducible from the seed; workers > 1
-    trades determinism for speed via unsynchronized shard updates.
+    Sequential SGD from one rng seeded by `params.seed`, so training is
+    bit-reproducible from the seed.
     """
     cfg = cfg or NgramConfig()
     params = params or CbowTrainParams()
@@ -285,21 +237,37 @@ def train_cbow(
     noise_cdf[-1] = 1.0
     total_tokens = total * params.epochs
 
-    if params.workers <= 1:
-        _train_shard(model, sentences, params, keep_prob, noise_cdf, total_tokens, params.seed)
-    else:
-        shards = [sentences[i :: params.workers] for i in range(params.workers)]
-        shard_totals = [sum(len(s) for s in shard) * params.epochs for shard in shards]
-        with ThreadPoolExecutor(max_workers=params.workers) as pool:
-            futures = [
-                pool.submit(
-                    _train_shard, model, shard, params, keep_prob, noise_cdf,
-                    max(st, 1), params.seed + 1 + i,
+    rng = np.random.default_rng(params.seed)
+    v = len(tokens)
+    constituents = model._constituents
+    word_in, bucket_vecs, word_out = model.word_in, model.bucket_vecs, model.word_out
+    processed = 0
+    for _ in range(params.epochs):
+        for sent in sentences:
+            alpha = params.lr * max(1.0 - processed / total_tokens, 0.0)
+            processed += len(sent)
+            kept = sent[rng.random(len(sent)) < keep_prob[sent]]
+            for pos in range(len(kept)):
+                b = int(rng.integers(1, params.window + 1))
+                lo = max(0, pos - b)
+                context = np.concatenate([kept[lo:pos], kept[pos + 1 : pos + 1 + b]])
+                if len(context) == 0:
+                    continue
+                center = int(kept[pos])
+                negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
+                negs = negs[negs != center]
+
+                ctx_ids = [constituents[c] for c in context]
+                _, input_grads, (targets, out_grads) = cbow_pair_loss(
+                    word_in, bucket_vecs, word_out, ctx_ids, center, negs
                 )
-                for i, (shard, st) in enumerate(zip(shards, shard_totals))
-            ]
-            for f in futures:
-                f.result()
+                # negatives may repeat; subtract.at accumulates duplicates
+                np.subtract.at(word_out, targets, alpha * out_grads)
+                for rid, grad in input_grads.items():
+                    if rid < v:
+                        word_in[rid] -= alpha * grad
+                    else:
+                        bucket_vecs[rid - v] -= alpha * grad
     return model
 
 

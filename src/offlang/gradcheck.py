@@ -89,7 +89,7 @@ def _lstm_case(seed: int, T: int) -> float:
     return max(errs)
 
 
-def check_lstm_step(seed: int) -> float:
+def check_lstm_cell(seed: int) -> float:
     return _lstm_case(seed, T=1)
 
 
@@ -282,7 +282,7 @@ class CheckResult:
 ALL_CHECKS: list[tuple[str, Callable[[int], float]]] = [
     ("dense", check_dense),
     ("conv1d", check_conv1d),
-    ("lstm_step", check_lstm_step),
+    ("lstm_cell", check_lstm_cell),
     ("lstm_bptt", check_lstm_bptt),
     ("bilstm", check_bilstm),
     ("pooling", check_pooling),

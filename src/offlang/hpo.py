@@ -146,10 +146,6 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GpSurrogate:
     return best[1]
 
 
-def gp_posterior(surrogate: GpSurrogate, x: np.ndarray):
-    return surrogate.posterior(x)
-
-
 def _radical_inverse(index: int, base: int) -> float:
     inv = 0.0
     scale = 1.0 / base

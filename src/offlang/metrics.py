@@ -91,10 +91,6 @@ def prf_macro(
     )
 
 
-def macro_f1(y_true: Sequence[int], y_pred: Sequence[int], k: int) -> float:
-    return prf_macro(confusion(y_true, y_pred, k)).macro_f1
-
-
 def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)

@@ -65,70 +65,49 @@ class TrainConfig:
             raise ModelError(f"unknown loss {self.loss!r}")
 
 
-class ModelParams:
-    """All trainable tensors; grads live alongside values (nn.Param)."""
+TRUNK_NAMES = (
+    "embedding",
+    "lstm_fwd_wx", "lstm_fwd_wh", "lstm_fwd_b",
+    "lstm_bwd_wx", "lstm_bwd_wh", "lstm_bwd_b",
+    "conv_kernel", "conv_bias",
+)
+HEAD_NAMES = ("dense1_w", "dense1_b", "out_w", "out_b")
+TENSOR_NAMES = TRUNK_NAMES + HEAD_NAMES
 
-    def __init__(self, arch: ModelArch, embedding, lstm_fwd, lstm_bwd,
-                 conv_kernel, conv_bias, dense1_w, dense1_b, out_w, out_b):
+
+class ModelParams:
+    """All trainable tensors in one dict ordered by TENSOR_NAMES; grads live
+    alongside values (nn.Param). Tensors also read as attributes: `params.out_w`."""
+
+    def __init__(self, arch: ModelArch, tensors: dict[str, nn.Param]):
         self.arch = arch
-        self.embedding = embedding
-        self.lstm_fwd = lstm_fwd
-        self.lstm_bwd = lstm_bwd
-        self.conv_kernel = conv_kernel
-        self.conv_bias = conv_bias
-        self.dense1_w = dense1_w
-        self.dense1_b = dense1_b
-        self.out_w = out_w
-        self.out_b = out_b
+        self.tensors = {name: tensors[name] for name in TENSOR_NAMES}
+
+    def __getattr__(self, name: str) -> nn.Param:
+        tensors = self.__dict__.get("tensors", {})
+        if name not in tensors:
+            raise AttributeError(name)
+        return tensors[name]
+
+    def lstm(self, direction: str) -> nn.LstmParams:
+        """View of the "fwd" or "bwd" LSTM tensors; grads land in this model."""
+        return nn.LstmParams(*(self.tensors[f"lstm_{direction}_{part}"] for part in ("wx", "wh", "b")))
 
     def trunk_params(self) -> list[nn.Param]:
-        return (
-            [self.embedding]
-            + self.lstm_fwd.params()
-            + self.lstm_bwd.params()
-            + [self.conv_kernel, self.conv_bias]
-        )
+        return [self.tensors[name] for name in TRUNK_NAMES]
 
     def head_params(self) -> list[nn.Param]:
-        return [self.dense1_w, self.dense1_b, self.out_w, self.out_b]
+        return [self.tensors[name] for name in HEAD_NAMES]
 
     def all_params(self) -> list[nn.Param]:
-        return self.trunk_params() + self.head_params()
-
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("embedding", self.embedding.values),
-            ("lstm_fwd_wx", self.lstm_fwd.wx.values),
-            ("lstm_fwd_wh", self.lstm_fwd.wh.values),
-            ("lstm_fwd_b", self.lstm_fwd.b.values),
-            ("lstm_bwd_wx", self.lstm_bwd.wx.values),
-            ("lstm_bwd_wh", self.lstm_bwd.wh.values),
-            ("lstm_bwd_b", self.lstm_bwd.b.values),
-            ("conv_kernel", self.conv_kernel.values),
-            ("conv_bias", self.conv_bias.values),
-            ("dense1_w", self.dense1_w.values),
-            ("dense1_b", self.dense1_b.values),
-            ("out_w", self.out_w.values),
-            ("out_b", self.out_b.values),
-        ]
+        return list(self.tensors.values())
 
     def zero_grads(self) -> None:
         for p in self.all_params():
             p.zero_grad()
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.arch,
-            self.embedding.copy(),
-            nn.LstmParams(self.lstm_fwd.wx.copy(), self.lstm_fwd.wh.copy(), self.lstm_fwd.b.copy()),
-            nn.LstmParams(self.lstm_bwd.wx.copy(), self.lstm_bwd.wh.copy(), self.lstm_bwd.b.copy()),
-            self.conv_kernel.copy(),
-            self.conv_bias.copy(),
-            self.dense1_w.copy(),
-            self.dense1_b.copy(),
-            self.out_w.copy(),
-            self.out_b.copy(),
-        )
+        return ModelParams(self.arch, {name: p.copy() for name, p in self.tensors.items()})
 
     def snapshot(self) -> list[np.ndarray]:
         return [p.values.copy() for p in self.all_params()]
@@ -171,22 +150,18 @@ def build(arch: ModelArch, embedding_matrix: np.ndarray, seed: int) -> ModelPara
     lstm_fwd = nn.init_lstm_params(rng, arch.embed_dim, arch.hidden)
     lstm_bwd = nn.init_lstm_params(rng, arch.embed_dim, arch.hidden)
     two_h = 2 * arch.hidden
-    conv_kernel = nn.Param(
-        nn.glorot_uniform(rng, (arch.kernel, two_h, arch.filters), arch.kernel * two_h, arch.filters)
-    )
-    conv_bias = nn.Param(np.zeros(arch.filters))
-    dense1_w = nn.Param(
-        nn.glorot_uniform(rng, (arch.ffnn_hidden, arch.feature_dim), arch.feature_dim, arch.ffnn_hidden)
-    )
-    dense1_b = nn.Param(np.zeros(arch.ffnn_hidden))
-    out_w = nn.Param(
-        nn.glorot_uniform(rng, (arch.output_units, arch.ffnn_hidden), arch.ffnn_hidden, arch.output_units)
-    )
-    out_b = nn.Param(np.zeros(arch.output_units))
-    return ModelParams(
-        arch, nn.Param(matrix.copy()), lstm_fwd, lstm_bwd,
-        conv_kernel, conv_bias, dense1_w, dense1_b, out_w, out_b,
-    )
+    kernel = nn.glorot_uniform(rng, (arch.kernel, two_h, arch.filters), arch.kernel * two_h, arch.filters)
+    trunk = [nn.Param(matrix.copy()), *lstm_fwd.params(), *lstm_bwd.params(),
+             nn.Param(kernel), nn.Param(np.zeros(arch.filters))]
+    return ModelParams(arch, {**dict(zip(TRUNK_NAMES, trunk)), **_init_head(arch, rng)})
+
+
+def _init_head(arch: ModelArch, rng: np.random.Generator) -> dict[str, nn.Param]:
+    """Glorot-uniform dense weights, drawn dense1 then out, and zero biases."""
+    head = []
+    for n_in, n_out in ((arch.feature_dim, arch.ffnn_hidden), (arch.ffnn_hidden, arch.output_units)):
+        head += [nn.Param(nn.glorot_uniform(rng, (n_out, n_in), n_in, n_out)), nn.Param(np.zeros(n_out))]
+    return dict(zip(HEAD_NAMES, head))
 
 
 def stack_examples(examples: Sequence[EncodedExample]):
@@ -202,7 +177,7 @@ def _forward(params: ModelParams, idx, uc, train: bool, rng, dropout_rate: float
         raise ModelError("token index out of embedding range")
     emb = params.embedding.values[idx]
     dropped, mask = nn.spatial_dropout_forward(emb, dropout_rate, train, rng)
-    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm_fwd, params.lstm_bwd)
+    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"))
     conv, conv_cache = nn.conv1d_forward(bi, params.conv_kernel, params.conv_bias)
     mx, mx_cache = nn.global_max_pool_forward(conv)
     av, av_shape = nn.global_avg_pool_forward(conv)
@@ -235,19 +210,6 @@ def _backward(params: ModelParams, dz2: np.ndarray, cache) -> None:
     ddropped = nn.bilstm_backward(dbi, bi_cache)
     demb = nn.spatial_dropout_backward(ddropped, mask)
     np.add.at(params.embedding.grad, idx, demb)
-
-
-def forward(
-    params: ModelParams,
-    examples: Sequence[EncodedExample],
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-    dropout_rate: float = 0.5,
-) -> np.ndarray:
-    """Probabilities for a batch: (B,) for one output unit, (B, k) otherwise."""
-    idx, uc, _ = stack_examples(examples)
-    probs, _ = _forward(params, idx, uc, train, rng, dropout_rate)
-    return probs
 
 
 def predict_proba(params: ModelParams, examples: Sequence[EncodedExample], batch_size: int = 256):
@@ -394,49 +356,30 @@ def transfer(source: ModelParams, task: str, seed: int) -> ModelParams:
     if task not in ("b", "c"):
         raise ModelError(f"transfer targets task b or c, got {task!r}")
     arch = replace(source.arch, output_units=1 if task == "b" else 3)
-    rng = np.random.default_rng(seed)
-    dense1_w = nn.Param(
-        nn.glorot_uniform(rng, (arch.ffnn_hidden, arch.feature_dim), arch.feature_dim, arch.ffnn_hidden)
-    )
-    dense1_b = nn.Param(np.zeros(arch.ffnn_hidden))
-    out_w = nn.Param(
-        nn.glorot_uniform(rng, (arch.output_units, arch.ffnn_hidden), arch.ffnn_hidden, arch.output_units)
-    )
-    out_b = nn.Param(np.zeros(arch.output_units))
-    return ModelParams(
-        arch,
-        source.embedding.copy(),
-        nn.LstmParams(source.lstm_fwd.wx.copy(), source.lstm_fwd.wh.copy(), source.lstm_fwd.b.copy()),
-        nn.LstmParams(source.lstm_bwd.wx.copy(), source.lstm_bwd.wh.copy(), source.lstm_bwd.b.copy()),
-        source.conv_kernel.copy(),
-        source.conv_bias.copy(),
-        dense1_w,
-        dense1_b,
-        out_w,
-        out_b,
-    )
+    trunk = {name: source.tensors[name].copy() for name in TRUNK_NAMES}
+    return ModelParams(arch, {**trunk, **_init_head(arch, np.random.default_rng(seed))})
 
 
 def save_model(params: ModelParams, vocab_hash: str, path) -> None:
     """Binary format: magic, little-endian header length, JSON header (arch,
     vocab hash, tensor manifest), then float64 payloads in manifest order."""
-    tensors = params.named_tensors()
     header = {
         "arch": asdict(params.arch),
         "vocab_hash": vocab_hash,
-        "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in tensors],
+        "tensors": [{"name": name, "shape": list(p.values.shape)} for name, p in params.tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for p in params.all_params():
+            fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
 
 
 def load_model(path, expected_vocab_hash: Optional[str] = None) -> tuple[ModelParams, str]:
-    """Read a saved model; errors on truncation, trailing bytes, or hash mismatch."""
+    """Read a saved model; errors on a malformed header, truncation, trailing
+    bytes, tensors that do not fit the arch, or a vocabulary hash mismatch."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
@@ -448,44 +391,37 @@ def load_model(path, expected_vocab_hash: Optional[str] = None) -> tuple[ModelPa
         blob = fh.read(header_len)
         if len(blob) != header_len:
             raise ModelError(f"{path}: truncated model file")
-        header = json.loads(blob.decode("utf-8"))
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            vocab_hash = header["vocab_hash"]
+            arch = ModelArch(**header["arch"])
+            manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelError(f"{path}: malformed model header: {exc!r}") from None
 
-        vocab_hash = header["vocab_hash"]
         if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
             raise ModelError(
                 f"{path}: vocabulary hash mismatch (model {vocab_hash[:12]}…, "
                 f"expected {expected_vocab_hash[:12]}…)"
             )
-        arch = ModelArch(**header["arch"])
+        if sorted(name for name, _ in manifest) != sorted(TENSOR_NAMES):
+            raise ModelError(f"{path}: unexpected tensor manifest")
 
         arrays = {}
-        for spec_entry in header["tensors"]:
-            shape = tuple(spec_entry["shape"])
+        for name, shape in manifest:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise ModelError(f"{path}: truncated model file")
-            arrays[spec_entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ModelError(f"{path}: trailing bytes after tensor payload")
 
-    expected_names = [
-        "embedding", "lstm_fwd_wx", "lstm_fwd_wh", "lstm_fwd_b",
-        "lstm_bwd_wx", "lstm_bwd_wh", "lstm_bwd_b",
-        "conv_kernel", "conv_bias", "dense1_w", "dense1_b", "out_w", "out_b",
-    ]
-    if sorted(arrays) != sorted(expected_names):
-        raise ModelError(f"{path}: unexpected tensor manifest")
-    params = ModelParams(
-        arch,
-        nn.Param(arrays["embedding"]),
-        nn.LstmParams(nn.Param(arrays["lstm_fwd_wx"]), nn.Param(arrays["lstm_fwd_wh"]), nn.Param(arrays["lstm_fwd_b"])),
-        nn.LstmParams(nn.Param(arrays["lstm_bwd_wx"]), nn.Param(arrays["lstm_bwd_wh"]), nn.Param(arrays["lstm_bwd_b"])),
-        nn.Param(arrays["conv_kernel"]),
-        nn.Param(arrays["conv_bias"]),
-        nn.Param(arrays["dense1_w"]),
-        nn.Param(arrays["dense1_b"]),
-        nn.Param(arrays["out_w"]),
-        nn.Param(arrays["out_b"]),
-    )
+    params = ModelParams(arch, {name: nn.Param(values) for name, values in arrays.items()})
+    # the arch fixes every shape but the vocabulary size, and build() knows them
+    embedding = params.embedding.values
+    expected = build(arch, np.zeros((len(embedding) if embedding.ndim else 0, arch.embed_dim)), seed=0)
+    for (name, p), want in zip(params.tensors.items(), expected.all_params()):
+        if p.values.shape != want.values.shape:
+            raise ModelError(f"{path}: tensor {name} has shape {p.values.shape}, arch needs {want.values.shape}")
     return params, vocab_hash

@@ -117,10 +117,6 @@ class LstmParams:
         return self.wh.values.shape[1]
 
     @property
-    def input_dim(self) -> int:
-        return self.wx.values.shape[1]
-
-    @property
     def param_count(self) -> int:
         return self.wx.size + self.wh.size + self.b.size
 
@@ -147,16 +143,6 @@ def _gates(z: np.ndarray, h: int):
     o = sigmoid(z[..., 2 * h : 3 * h])
     g = np.tanh(z[..., 3 * h : 4 * h])
     return i, f, o, g
-
-
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, params: LstmParams):
-    """One cell update: returns (h', c'). Accepts vectors or (B, ·) batches."""
-    hid = params.hidden
-    z = x @ params.wx.values.T + h @ params.wh.values.T + params.b.values
-    i, f, o, g = _gates(z, hid)
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
 
 
 def lstm_forward(xs: np.ndarray, params: LstmParams):

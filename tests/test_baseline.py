@@ -133,14 +133,6 @@ class TestForest:
         p2 = predict_forest(train_forest(X, y, n_trees=15, seed=9), X)
         assert np.array_equal(p1, p2)
 
-    def test_threads_preserve_results(self):
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(30, 4))
-        y = (X[:, 0] > 0).astype(int)
-        seq = predict_forest(train_forest(X, y, n_trees=8, seed=3, threads=1), X)
-        par = predict_forest(train_forest(X, y, n_trees=8, seed=3, threads=4), X)
-        assert np.array_equal(seq, par)
-
     def test_two_blob_accuracy_across_seeds(self):
         wins = 0
         for seed in range(10):

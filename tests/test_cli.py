@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from offlang import cli
 from offlang.corpus import Vocabulary
 
@@ -120,6 +122,36 @@ def test_train_then_predict_then_evaluate(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "macro-F1" in table
     assert (eval_out / "metrics.csv").exists()
+
+
+ALL_OFF = [(str(i), "OFF") for i in range(1, 21)]  # one prediction per fixture id
+
+
+def write_predictions(tmp_path, rows):
+    path = tmp_path / "predictions.csv"
+    path.write_text("id,label\n" + "".join(f"{rid},{label}\n" for rid, label in rows), encoding="utf-8")
+    config, _ = write_config(tmp_path, out_name="eval", **{"evaluate.predictions": str(path)})
+    return config
+
+
+def test_evaluate_ignores_ids_outside_the_gold_set(tmp_path, capsys):
+    config = write_predictions(tmp_path, ALL_OFF + [("999", "NOT")])
+    assert cli.main(["evaluate", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize("rows, message", [
+    (ALL_OFF[:-1] + [("20", "off")], "unknown label 'off'"),
+    (ALL_OFF + [("3", "NOT")], "duplicate prediction id '3'"),
+    (ALL_OFF[:18], "2 of 20 gold ids have no prediction"),
+    (ALL_OFF + [("21,x", "NOT")], "expected 2 fields, got 3"),
+])
+def test_evaluate_rejects_bad_predictions(tmp_path, capsys, rows, message):
+    config = write_predictions(tmp_path, rows)
+    args = cli.build_parser().parse_args(["evaluate", "--config", str(config)])
+    with pytest.raises(cli.ConfigError, match=message):
+        args.fn(args)
+    assert cli.main(["evaluate", "--config", str(config)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_train_is_byte_deterministic(tmp_path, capsys):

@@ -9,7 +9,6 @@ from offlang.hpo import (
     bo_loop,
     expected_improvement,
     gp_fit,
-    gp_posterior,
 )
 
 
@@ -37,7 +36,7 @@ class TestGp:
         y = np.array([1.0, -0.5, 2.0])
         gp = gp_fit(X, y)
         for xi, yi in zip(X, y):
-            mean, var = gp_posterior(gp, xi)
+            mean, var = gp.posterior(xi)
             assert mean == pytest.approx(yi, abs=1e-6)
             assert var <= 1e-6
 
@@ -45,7 +44,7 @@ class TestGp:
         X = np.array([[0.2], [0.5], [0.8]])
         y = np.array([3.0, 4.0, 5.0])
         gp = gp_fit(X, y)
-        mean, var = gp_posterior(gp, np.array([500.0]))
+        mean, var = gp.posterior(np.array([500.0]))
         assert mean == pytest.approx(y.mean(), abs=1e-9)
         assert var == pytest.approx(y.var(), abs=1e-9)
 
@@ -64,7 +63,7 @@ class TestGp:
         y_norm = (y - y.mean()) / y.std()
         direct = y.mean() + y.std() * (k_star @ np.linalg.solve(K, y_norm))
 
-        mean, _ = gp_posterior(gp, x_star)
+        mean, _ = gp.posterior(x_star)
         assert mean == pytest.approx(direct, abs=1e-8)
 
     def test_needs_an_observation(self):
@@ -73,7 +72,7 @@ class TestGp:
 
     def test_single_observation_ok(self):
         gp = gp_fit(np.array([[0.5]]), np.array([2.0]))
-        mean, var = gp_posterior(gp, np.array([0.5]))
+        mean, var = gp.posterior(np.array([0.5]))
         assert mean == pytest.approx(2.0, abs=1e-6)
         assert var >= 0.0
 

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,14 +77,14 @@ class TestBuild:
 class TestForward:
     def test_sigmoid_output_in_open_interval(self):
         params = small_params()
-        probs = model.forward(params, random_examples(SMALL, 12, 9))
+        probs = model.predict_proba(params, random_examples(SMALL, 12, 9))
         assert probs.shape == (9,)
         assert ((probs > 0) & (probs < 1)).all()
 
     def test_softmax_rows_sum_to_one(self):
         arch = ModelArch(seq_len=10, embed_dim=8, hidden=6, filters=4, ffnn_hidden=4, output_units=3)
         params = small_params(arch)
-        probs = model.forward(params, random_examples(arch, 12, 5, k=3))
+        probs = model.predict_proba(params, random_examples(arch, 12, 5, k=3))
         assert probs.shape == (5, 3)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -89,13 +93,13 @@ class TestForward:
         for p in params.all_params()[1:]:  # everything but the embedding
             p.values[...] = 0.0
         ex = [EncodedExample([0] * SMALL.seq_len, 0, 0)]
-        assert model.forward(params, ex)[0] == 0.5
+        assert model.predict_proba(params, ex)[0] == 0.5
 
     def test_user_count_ignored_when_flag_off(self):
         params = small_params()
         base = random_examples(SMALL, 12, 4)
         bumped = [EncodedExample(ex.indices, ex.user_count + 7, ex.label) for ex in base]
-        assert np.array_equal(model.forward(params, base), model.forward(params, bumped))
+        assert np.array_equal(model.predict_proba(params, base), model.predict_proba(params, bumped))
 
     def test_user_count_used_when_flag_on(self):
         arch = ModelArch(seq_len=10, embed_dim=8, hidden=6, filters=4, ffnn_hidden=4,
@@ -103,12 +107,12 @@ class TestForward:
         params = small_params(arch)
         base = random_examples(arch, 12, 4)
         bumped = [EncodedExample(ex.indices, ex.user_count + 7, ex.label) for ex in base]
-        assert not np.array_equal(model.forward(params, base), model.forward(params, bumped))
+        assert not np.array_equal(model.predict_proba(params, base), model.predict_proba(params, bumped))
 
     def test_index_out_of_range(self):
         params = small_params(vocab_size=12)
         with pytest.raises(ModelError):
-            model.forward(params, [EncodedExample([12] * SMALL.seq_len, 0, 0)])
+            model.predict_proba(params, [EncodedExample([12] * SMALL.seq_len, 0, 0)])
 
     def test_full_backward_matches_finite_differences(self):
         arch = ModelArch(seq_len=6, embed_dim=5, hidden=4, filters=3, ffnn_hidden=3,
@@ -267,7 +271,7 @@ class TestSaveLoad:
         loaded, vocab_hash = load_model(path)
         assert vocab_hash == "hash123"
         examples = random_examples(SMALL, 12, 5, seed=1)
-        assert np.array_equal(model.forward(params, examples), model.forward(loaded, examples))
+        assert np.array_equal(model.predict_proba(params, examples), model.predict_proba(loaded, examples))
 
     def test_vocab_hash_mismatch(self, tmp_path):
         params = small_params()
@@ -300,3 +304,35 @@ class TestSaveLoad:
         save_model(small_params(seed=3), "h", a)
         save_model(small_params(seed=3), "h", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_file_format_pinned(self, tmp_path):
+        # build and transfer do no BLAS arithmetic, so these bytes are the
+        # same on every machine; a new digest means old model files break
+        source = small_params(seed=0)
+        cases = (
+            (source, "cff1fd95e7eecdbf59d2f84b58f2bdbd33a7cdaabe6a3abd2a25d01a5cfc85a9"),
+            (transfer(source, "c", seed=1), "1e501c0d6372d8fc6c310c198a680a49c12bb54421ce890a26d2052a105eba47"),
+        )
+        for params, digest in cases:
+            path = tmp_path / "model.bin"
+            save_model(params, "vocabhash", path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda header: header.pop("vocab_hash"), "vocab_hash"),
+        (lambda header: header["arch"].update(dropout=0.5), "dropout"),
+        (lambda header: header["tensors"][1].update(shape=[6, 32]), "lstm_fwd_wx"),
+    ])
+    def test_bad_header_raises_model_error(self, tmp_path, change, message):
+        path = tmp_path / "model.bin"
+        save_model(small_params(), "aaa", path)
+        data = path.read_bytes()
+        start = len(model.MODEL_MAGIC) + 8
+        (header_len,) = struct.unpack("<Q", data[start - 8 : start])
+        header = json.loads(data[start : start + header_len])
+        assert header["tensors"][1] == {"name": "lstm_fwd_wx", "shape": [24, 8]}
+        change(header)
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[: start - 8] + struct.pack("<Q", len(blob)) + blob + data[start + header_len :])
+        with pytest.raises(ModelError, match=message):
+            load_model(path)

@@ -60,10 +60,17 @@ class TestDense:
         assert check_dense(seed=0) <= 1e-6
 
 
+def lstm_first_step(x, params):
+    """(h, c) after one cell update from zero state: lstm_forward on T=1."""
+    hs, cache = nn.lstm_forward(x[None, None, :], params)
+    c_s = cache[6]  # (xs, params, i, f, o, g, c, tanh(c), h)
+    return hs[0, 0], c_s[0, 0]
+
+
 class TestLstm:
     def test_all_zero_parameters(self):
         params = nn.LstmParams(nn.Param(np.zeros((8, 3))), nn.Param(np.zeros((8, 2))), nn.Param(np.zeros(8)))
-        h, c = nn.lstm_step(np.array([1.5, -2.0, 0.3]), np.zeros(2), np.zeros(2), params)
+        h, c = lstm_first_step(np.array([1.5, -2.0, 0.3]), params)
         assert np.array_equal(h, np.zeros(2))
         assert np.array_equal(c, np.zeros(2))
 
@@ -71,7 +78,7 @@ class TestLstm:
         # gates saturated open via large biases, candidate bias = 1
         b = np.array([20.0, 20.0, 20.0, 1.0])
         params = nn.LstmParams(nn.Param(np.zeros((4, 1))), nn.Param(np.zeros((4, 1))), nn.Param(b))
-        h, c = nn.lstm_step(np.array([0.7]), np.zeros(1), np.zeros(1), params)
+        h, c = lstm_first_step(np.array([0.7]), params)
         assert c[0] == pytest.approx(0.7616, abs=5e-4)
         assert h[0] == pytest.approx(0.6420, abs=5e-4)
 
