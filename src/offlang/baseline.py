@@ -25,16 +25,6 @@ def bow_matrix(token_lists: Sequence[list[str]], vocab: Vocabulary) -> np.ndarra
     return matrix
 
 
-def gini(class_counts: Sequence[int]) -> float:
-    """Impurity 1 - sum (n_i / N)^2; zero iff the node is pure."""
-    counts = np.asarray(class_counts, dtype=float)
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
-
-
 @dataclass
 class TreeNode:
     feature: int = -1

@@ -6,7 +6,8 @@ records a run.json sufficient to replay it.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -41,42 +42,95 @@ def cfg(config: dict, dotted: str, default=_REQUIRED):
     return node
 
 
-def _out_dir(config: dict) -> Path:
-    path = Path(cfg(config, "output.dir"))
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+@dataclass
+class Run:
+    """What a config command works from: its config, seed and output
+    directory, the task (resolved on first use), and the settings it adds
+    to run.json."""
+
+    args: argparse.Namespace
+    config: dict
+    seed: int
+    out: Path
+    resolved: dict = field(default_factory=dict)
+
+    @cached_property
+    def task(self) -> str:
+        task = self.args.task or cfg(self.config, "data.task", None)
+        if task is None:
+            raise ConfigError("task not given: pass --task or set data.task")
+        return task.lower()
+
+    def records(self, key: str = "data.train_path") -> list[corpus.TweetRecord]:
+        with open(cfg(self.config, key), encoding="utf-8") as fh:
+            return corpus.parse_olid(fh)
 
 
-def _write_run_json(out: Path, command: str, config: dict, seed: int, resolved: dict | None = None) -> None:
-    payload = {
-        "command": command,
-        "config": config,
-        "resolved": resolved or {},
-        "seed": seed,
-        "versions": {"offlang": __version__, "numpy": np.__version__},
-    }
-    with open(out / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _runner(command):
+    """Wrap command(run) for the CLI: load the config, resolve the seed and
+    output directory, run it, and record run.json under the subcommand name."""
+
+    def run_command(args) -> int:
+        config = load_config(args.config)
+        out = Path(cfg(config, "output.dir"))
+        out.mkdir(parents=True, exist_ok=True)
+        seed = args.seed if args.seed is not None else int(cfg(config, "data.seed", 0))
+        run = Run(args, config, seed, out)
+        command(run)
+        payload = {
+            "command": args.command,
+            "config": config,
+            "resolved": run.resolved,
+            "seed": seed,
+            "versions": {"offlang": __version__, "numpy": np.__version__},
+        }
+        with open(out / "run.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return 0
+
+    return run_command
 
 
-def _load_records(config: dict, key: str = "data.train_path"):
-    path = cfg(config, key)
-    with open(path, encoding="utf-8") as fh:
-        return corpus.parse_olid(fh)
+# config keys named differently from the dataclass fields they set
+_KEYS = {"n_min": "min_ngram", "n_max": "max_ngram"}
 
 
-def _resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg(config, "data.seed", 0))
+def _section(config: dict, name: str, cls, **fixed):
+    """`cls` from config section `name`: each field the section sets, coerced
+    to the type of the field's default, plus the `fixed` fields. The
+    defaults live on `cls` alone."""
+    section = cfg(config, name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    values = dict(fixed)
+    for f in fields(cls):
+        key = _KEYS.get(f.name, f.name)
+        if f.name in fixed or key not in section:
+            continue
+        value, kind = section[key], type(f.default)
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"config key {name}.{key} must be true or false, got {value!r}")
+        try:
+            values[f.name] = kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {name}.{key} must be {kind.__name__}, got {value!r}") from None
+    return cls(**values)
 
 
-def _resolve_task(args, config: dict) -> str:
-    task = args.task or cfg(config, "data.task", None)
-    if task is None:
-        raise ConfigError("task not given: pass --task or set data.task")
-    return task.lower()
+def _embed_dim(config: dict) -> int:
+    return int(cfg(config, "embeddings.dim", model.ModelArch.embed_dim))
+
+
+_DEFAULT_PU = {"a": 0.3, "b": 0.2, "c": 0.7}
+
+
+def _p_u(run: Run) -> float:
+    return float(cfg(run.config, "resample.p_u", _DEFAULT_PU[run.task]))
+
+
+def _tokens(records) -> list[list[str]]:
+    return [corpus.tokenize(r.clean_text) for r in records]
 
 
 def _stratified_split(examples, val_fraction: float, seed: int):
@@ -98,230 +152,126 @@ def _stratified_split(examples, val_fraction: float, seed: int):
     return [examples[i] for i in train_idx], [examples[i] for i in val_idx]
 
 
-def _ngram_config(config: dict) -> embeddings.NgramConfig:
-    return embeddings.NgramConfig(
-        n_min=int(cfg(config, "embeddings.min_ngram", 3)),
-        n_max=int(cfg(config, "embeddings.max_ngram", 6)),
-        buckets=int(cfg(config, "embeddings.buckets", 100_000)),
+def _split(run: Run, records, vocab, seq_len: int):
+    """The task's records encoded and split stratified into train and
+    validation sets; the train set is rebalanced to resample.p_u."""
+    task = run.task
+    examples = corpus.encode_records(corpus.filter_task(records, task), vocab, task, seq_len)
+    train_set, val_set = _stratified_split(examples, float(cfg(run.config, "data.val_fraction", 0.2)), run.seed)
+    p_u = _p_u(run)
+    train_set = resample.rebalance(train_set, p_u, run.seed)
+    run.resolved.update(task=task, p_u=p_u, train_examples=len(train_set), val_examples=len(val_set))
+    return train_set, val_set
+
+
+def _train_cbow(run: Run, records) -> embeddings.FastTextModel:
+    return embeddings.train_cbow(
+        _tokens(records),
+        _section(run.config, "embeddings", embeddings.NgramConfig),
+        _section(run.config, "embeddings", embeddings.CbowTrainParams, seed=run.seed),
+        dim=_embed_dim(run.config),
     )
 
 
-def _cbow_params(config: dict, seed: int) -> embeddings.CbowTrainParams:
-    return embeddings.CbowTrainParams(
-        window=int(cfg(config, "embeddings.window", 5)),
-        negatives=int(cfg(config, "embeddings.negatives", 5)),
-        epochs=int(cfg(config, "embeddings.epochs", 5)),
-        lr=float(cfg(config, "embeddings.lr", 0.025)),
-        subsample=float(cfg(config, "embeddings.subsample", 1e-4)),
-        seed=seed,
-    )
-
-
-def _embedding_matrix(config: dict, records, vocab, seed: int) -> np.ndarray:
-    source = cfg(config, "embeddings.source", "cbow")
+def _build_model(run: Run, records, vocab) -> model.ModelParams:
+    """The task's model, its embedding matrix from embeddings.source."""
+    source = cfg(run.config, "embeddings.source", "cbow")
     if source == "cbow":
-        token_lists = [corpus.tokenize(r.clean_text) for r in records]
-        ft = embeddings.train_cbow(
-            token_lists,
-            _ngram_config(config),
-            _cbow_params(config, seed),
-            dim=int(cfg(config, "embeddings.dim", 100)),
-        )
-        return embeddings.build_embedding_matrix(vocab, ft)
-    if source == "external_file":
-        path = cfg(config, "embeddings.path")
-        with open(path, encoding="utf-8") as fh:
-            vectors = embeddings.load_text_embeddings(fh)
-        return embeddings.build_embedding_matrix(vocab, vectors)
-    raise ConfigError(f"embeddings.source must be 'cbow' or 'external_file', got {source!r}")
+        vectors = _train_cbow(run, records)
+    elif source == "external_file":
+        ngrams = _section(run.config, "embeddings", embeddings.NgramConfig)
+        vectors = embeddings.load_vectors(cfg(run.config, "embeddings.path"), ngrams)
+    else:
+        raise ConfigError(f"embeddings.source must be 'cbow' or 'external_file', got {source!r}")
+    arch = _section(run.config, "model", model.ModelArch,
+                    embed_dim=_embed_dim(run.config), output_units=3 if run.task == "c" else 1)
+    return model.build(arch, embeddings.build_embedding_matrix(vocab, vectors), run.seed)
 
 
-def _arch(config: dict, task: str, embed_dim: int) -> model.ModelArch:
-    return model.ModelArch(
-        seq_len=int(cfg(config, "model.seq_len", 63)),
-        embed_dim=embed_dim,
-        hidden=int(cfg(config, "model.hidden", 128)),
-        kernel=int(cfg(config, "model.kernel", 2)),
-        filters=int(cfg(config, "model.filters", 64)),
-        ffnn_hidden=int(cfg(config, "model.ffnn_hidden", 10)),
-        output_units=3 if task == "c" else 1,
-        use_user_count=bool(cfg(config, "model.use_user_count", False)),
-    )
-
-
-def _train_config(config: dict, seed: int) -> model.TrainConfig:
-    return model.TrainConfig(
-        lr=float(cfg(config, "model.lr", 0.001)),
-        weight_decay=float(cfg(config, "model.weight_decay", 0.0)),
-        dropout=float(cfg(config, "model.dropout", 0.5)),
-        batch_size=int(cfg(config, "model.batch_size", 32)),
-        max_epochs=int(cfg(config, "model.max_epochs", 10)),
-        patience=int(cfg(config, "model.patience", 2)),
-        seed=seed,
-        loss=cfg(config, "model.loss", "cross_entropy"),
-        freeze_trunk=bool(cfg(config, "model.freeze_trunk", False)),
-    )
-
-
-_DEFAULT_PU = {"a": 0.3, "b": 0.2, "c": 0.7}
-
-
-def _resample_train(examples, config: dict, task: str, seed: int, label_of=lambda ex: ex.label):
-    p_u = float(cfg(config, "resample.p_u", _DEFAULT_PU[task]))
-    return resample.rebalance(examples, p_u, seed, label_of=label_of), p_u
+def _fit(run: Run, params: model.ModelParams, records, vocab) -> model.EpochStats:
+    """Shared by train and transfer: split, train, and save vocab.txt,
+    model.bin and history.csv; returns the best epoch."""
+    train_set, val_set = _split(run, records, vocab, params.arch.seq_len)
+    train_cfg = _section(run.config, "model", model.TrainConfig, seed=run.seed)
+    best, history = model.train(params, train_set, val_set, train_cfg)
+    vocab.save(run.out / "vocab.txt")
+    model.save_model(best, vocab.content_hash(), run.out / "model.bin")
+    model.write_history_csv(history, run.out / "history.csv")
+    run.resolved.update(arch=asdict(params.arch), train=asdict(train_cfg))
+    return max(history, key=lambda h: h.val_accuracy)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_preprocess(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(config)
-    records = _load_records(config)
-    corpus.write_clean_tsv(records, out / "clean.tsv")
-    vocab = corpus.build_vocab([corpus.tokenize(r.clean_text) for r in records])
-    vocab.save(out / "vocab.txt")
-    _write_run_json(out, "preprocess", config, _resolve_seed(args, config))
+def cmd_preprocess(run: Run) -> None:
+    records = run.records()
+    corpus.write_clean_tsv(records, run.out / "clean.tsv")
+    vocab = corpus.build_vocab(_tokens(records))
+    vocab.save(run.out / "vocab.txt")
     print(f"cleaned {len(records)} tweets; vocabulary size {vocab.size}")
-    return 0
 
 
-def cmd_stats(args) -> int:
-    config = load_config(args.config)
-    task = _resolve_task(args, config)
-    out = _out_dir(config)
-    records = corpus.filter_task(_load_records(config), task)
-    stats = corpus.user_count_stats(records, task)
+def cmd_stats(run: Run) -> None:
+    task = run.task
+    stats = corpus.user_count_stats(corpus.filter_task(run.records(), task), task)
     lines = ["class\tmean\tstd"]
     for name in corpus.TASK_LABELS[task]:
         mean, std = stats[name]
         lines.append(f"{name}\t{mean:.4f}\t{std:.4f}")
-    (out / "user_count_stats.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_json(out, "stats", config, _resolve_seed(args, config))
+    (run.out / "user_count_stats.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
-    return 0
 
 
-def cmd_resample_report(args) -> int:
-    config = load_config(args.config)
-    task = _resolve_task(args, config)
-    seed = _resolve_seed(args, config)
-    out = _out_dir(config)
-    records = corpus.filter_task(_load_records(config), task)
-    labels = [r.label_for(task) for r in records]
-    before = resample.class_counts(labels)
-    balanced, p_u = _resample_train(records, config, task, seed, label_of=lambda r: r.label_for(task))
+def cmd_resample_report(run: Run) -> None:
+    task = run.task
+    records = corpus.filter_task(run.records(), task)
+    before = resample.class_counts([r.label_for(task) for r in records])
+    p_u = _p_u(run)
+    balanced = resample.rebalance(records, p_u, run.seed, label_of=lambda r: r.label_for(task))
     after = resample.class_counts([r.label_for(task) for r in balanced])
     rows = resample.resample_report(before, after)
     lines = ["class\tbefore\tafter"] + [f"{c}\t{b}\t{a}" for c, b, a in rows]
-    (out / "resample_report.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_json(out, "resample-report", config, seed)
+    (run.out / "resample_report.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"p_u={p_u}")
     print("\n".join(lines))
-    return 0
 
 
-def cmd_embed_train(args) -> int:
-    config = load_config(args.config)
-    seed = _resolve_seed(args, config)
-    out = _out_dir(config)
-    records = _load_records(config)
-    token_lists = [corpus.tokenize(r.clean_text) for r in records]
-    ft = embeddings.train_cbow(
-        token_lists,
-        _ngram_config(config),
-        _cbow_params(config, seed),
-        dim=int(cfg(config, "embeddings.dim", 100)),
-    )
-    embeddings.save_fasttext(ft, out / "fasttext.txt")
-    _write_run_json(out, "embed-train", config, seed)
+def cmd_embed_train(run: Run) -> None:
+    ft = _train_cbow(run, run.records())
+    embeddings.save_fasttext(ft, run.out / "fasttext.txt")
     print(f"trained subword embeddings: {len(ft.tokens)} words, dim {ft.dim}")
-    return 0
 
 
-def _prepare_training(config, args):
-    """Shared by train and tune-hparams: records -> vocab, arch, splits."""
-    task = _resolve_task(args, config)
-    seed = _resolve_seed(args, config)
-    records = _load_records(config)
-    vocab = corpus.build_vocab([corpus.tokenize(r.clean_text) for r in records])
-    task_records = corpus.filter_task(records, task)
-    arch = _arch(config, task, int(cfg(config, "embeddings.dim", 100)))
-    examples = corpus.encode_records(task_records, vocab, task, arch.seq_len)
-    val_fraction = float(cfg(config, "data.val_fraction", 0.2))
-    train_set, val_set = _stratified_split(examples, val_fraction, seed)
-    train_set, p_u = _resample_train(train_set, config, task, seed)
-    return records, vocab, arch, train_set, val_set, task, seed, p_u
-
-
-def cmd_train(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(config)
-    records, vocab, arch, train_set, val_set, task, seed, p_u = _prepare_training(config, args)
-    matrix = _embedding_matrix(config, records, vocab, seed)
-    params = model.build(arch, matrix, seed)
-    train_cfg = _train_config(config, seed)
-    best, history = model.train(params, train_set, val_set, train_cfg)
-
-    vocab.save(out / "vocab.txt")
-    model.save_model(best, vocab.content_hash(), out / "model.bin")
-    model.write_history_csv(history, out / "history.csv")
-    _write_run_json(out, "train", config, seed, resolved={
-        "task": task, "p_u": p_u, "arch": asdict(arch), "train": asdict(train_cfg),
-        "vocab_size": vocab.size, "train_examples": len(train_set), "val_examples": len(val_set),
-    })
-    last = max(history, key=lambda h: h.val_accuracy)
+def cmd_train(run: Run) -> None:
+    records = run.records()
+    vocab = corpus.build_vocab(_tokens(records))
+    best = _fit(run, _build_model(run, records, vocab), records, vocab)
+    r = run.resolved
+    r["vocab_size"] = vocab.size
     print(
-        f"task {task}: {len(train_set)} train (p_u={p_u}) / {len(val_set)} val; "
-        f"best epoch {last.epoch}: accuracy {last.val_accuracy:.4f}, macro-F1 {last.val_macro_f1:.4f}"
+        f"task {r['task']}: {r['train_examples']} train (p_u={r['p_u']}) / {r['val_examples']} val; "
+        f"best epoch {best.epoch}: accuracy {best.val_accuracy:.4f}, macro-F1 {best.val_macro_f1:.4f}"
     )
-    return 0
 
 
-def cmd_transfer(args) -> int:
-    config = load_config(args.config)
-    task = _resolve_task(args, config)
-    if task not in ("b", "c"):
+def cmd_transfer(run: Run) -> None:
+    if run.task not in ("b", "c"):
         raise ConfigError("transfer targets task b or c")
-    seed = _resolve_seed(args, config)
-    out = _out_dir(config)
-
-    vocab = corpus.Vocabulary.load(cfg(config, "transfer.vocab"))
-    source, _ = model.load_model(cfg(config, "transfer.source_model"), vocab.content_hash())
-    params = model.transfer(source, task, seed)
-
-    records = _load_records(config)
-    task_records = corpus.filter_task(records, task)
-    examples = corpus.encode_records(task_records, vocab, task, params.arch.seq_len)
-    val_fraction = float(cfg(config, "data.val_fraction", 0.2))
-    train_set, val_set = _stratified_split(examples, val_fraction, seed)
-    train_set, p_u = _resample_train(train_set, config, task, seed)
-
-    train_cfg = _train_config(config, seed)
-    best, history = model.train(params, train_set, val_set, train_cfg)
-    vocab.save(out / "vocab.txt")
-    model.save_model(best, vocab.content_hash(), out / "model.bin")
-    model.write_history_csv(history, out / "history.csv")
-    _write_run_json(out, "transfer", config, seed, resolved={
-        "task": task, "p_u": p_u, "arch": asdict(params.arch), "train": asdict(train_cfg),
-    })
-    peak = max(history, key=lambda h: h.val_accuracy)
+    vocab = corpus.Vocabulary.load(cfg(run.config, "transfer.vocab"))
+    source, _ = model.load_model(cfg(run.config, "transfer.source_model"), vocab.content_hash())
+    best = _fit(run, model.transfer(source, run.task, run.seed), run.records(), vocab)
     print(
-        f"transferred to task {task}: best epoch {peak.epoch}, "
-        f"accuracy {peak.val_accuracy:.4f}, macro-F1 {peak.val_macro_f1:.4f}"
+        f"transferred to task {run.task}: best epoch {best.epoch}, "
+        f"accuracy {best.val_accuracy:.4f}, macro-F1 {best.val_macro_f1:.4f}"
     )
-    return 0
 
 
-def cmd_predict(args) -> int:
-    config = load_config(args.config)
-    task = _resolve_task(args, config)
-    out = _out_dir(config)
-    vocab = corpus.Vocabulary.load(cfg(config, "predict.vocab"))
-    params, _ = model.load_model(cfg(config, "predict.model"), vocab.content_hash())
-
-    with open(cfg(config, "data.test_path"), encoding="utf-8") as fh:
-        records = corpus.parse_olid(fh)
+def cmd_predict(run: Run) -> None:
+    task = run.task
+    vocab = corpus.Vocabulary.load(cfg(run.config, "predict.vocab"))
+    params, _ = model.load_model(cfg(run.config, "predict.model"), vocab.content_hash())
+    records = run.records("data.test_path")
     names = corpus.TASK_LABELS[task]
     encoded = [
         corpus.EncodedExample(
@@ -332,41 +282,37 @@ def cmd_predict(args) -> int:
         for r in records
     ]
     labels = model.predict(params, encoded)
-    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
+    with open(run.out / "predictions.csv", "w", encoding="utf-8") as fh:
         fh.write("id,label\n")
         for r, y in zip(records, labels):
             fh.write(f"{r.id},{names[int(y)]}\n")
-    _write_run_json(out, "predict", config, _resolve_seed(args, config))
     print(f"wrote {len(records)} predictions for task {task}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = load_config(args.config)
-    task = _resolve_task(args, config)
-    out = _out_dir(config)
+def cmd_evaluate(run: Run) -> None:
+    task = run.task
     names = corpus.TASK_LABELS[task]
     index = {name: i for i, name in enumerate(names)}
 
     gold = {
         r.id: index[r.label_for(task)]
-        for r in corpus.filter_task(_load_records(config, "data.test_path"), task)
+        for r in corpus.filter_task(run.records("data.test_path"), task)
     }
     if not gold:
         raise ConfigError(f"the gold file has no records for task {task}")
     # ids outside the gold set are ignored: predict labels every record,
     # including those that are NULL for tasks b and c
-    predictions_path = cfg(config, "evaluate.predictions")
+    predictions_path = cfg(run.config, "evaluate.predictions")
     predicted: dict[str, int] = {}
     with open(predictions_path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != ["id", "label"]:
             raise ConfigError(f"{predictions_path}: expected header id,label")
         for line_no, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != 2:
-                raise ConfigError(f"{predictions_path}:{line_no}: expected 2 fields, got {len(fields)}")
-            rid, label = fields
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 2:
+                raise ConfigError(f"{predictions_path}:{line_no}: expected 2 fields, got {len(parts)}")
+            rid, label = parts
             if label not in index:
                 raise ConfigError(
                     f"{predictions_path}:{line_no}: unknown label {label!r} for task {task}; "
@@ -385,71 +331,58 @@ def cmd_evaluate(args) -> int:
     y_true = list(gold.values())
     y_pred = [predicted[rid] for rid in gold]
     report = metrics.prf_macro(metrics.confusion(y_true, y_pred, len(names)), names)
-    report.write_csv(out / "metrics.csv")
-    _write_run_json(out, "evaluate", config, _resolve_seed(args, config))
+    report.write_csv(run.out / "metrics.csv")
     print(report.format_table())
-    return 0
 
 
-def cmd_tune_pu(args) -> int:
-    config = load_config(args.config)
-    task = _resolve_task(args, config)
-    seed = _resolve_seed(args, config)
-    out = _out_dir(config)
-    records = corpus.filter_task(_load_records(config), task)
-    vocab = corpus.build_vocab([corpus.tokenize(r.clean_text) for r in records])
-    X = baseline.bow_matrix([corpus.tokenize(r.clean_text) for r in records], vocab)
+def cmd_tune_pu(run: Run) -> None:
+    task = run.task
+    records = corpus.filter_task(run.records(), task)
+    tokens = _tokens(records)
+    X = baseline.bow_matrix(tokens, corpus.build_vocab(tokens))
     label_index = {name: i for i, name in enumerate(corpus.TASK_LABELS[task])}
     y = np.array([label_index[r.label_for(task)] for r in records])
 
-    grid = cfg(config, "baseline.grid", [round(0.1 * i, 1) for i in range(11)])
     best, candidates = baseline.cv_select_pu(
         X,
         y,
-        grid=grid,
-        folds=int(cfg(config, "baseline.folds", 5)),
-        n_trees=int(cfg(config, "baseline.n_trees", 100)),
-        seed=seed,
+        grid=cfg(run.config, "baseline.grid", [round(0.1 * i, 1) for i in range(11)]),
+        folds=int(cfg(run.config, "baseline.folds", 5)),
+        n_trees=int(cfg(run.config, "baseline.n_trees", 100)),
+        seed=run.seed,
     )
-    baseline.write_pu_report(candidates, out / "pu_report.csv")
-    _write_run_json(out, "tune-pu", config, seed)
+    baseline.write_pu_report(candidates, run.out / "pu_report.csv")
     for c in candidates:
         print(f"p_u={c.p_u:.1f}  mean macro-F1 {c.mean_macro_f1:.4f}")
     print(f"selected p_u={best}")
-    return 0
 
 
-def cmd_tune_hparams(args) -> int:
-    config = load_config(args.config)
-    out = _out_dir(config)
-    records, vocab, arch, train_set, val_set, task, seed, _ = _prepare_training(config, args)
-    matrix = _embedding_matrix(config, records, vocab, seed)
+def cmd_tune_hparams(run: Run) -> None:
+    records = run.records()
+    vocab = corpus.build_vocab(_tokens(records))
+    initial = _build_model(run, records, vocab)
+    train_set, val_set = _split(run, records, vocab, initial.arch.seq_len)
+    base = _section(run.config, "model", model.TrainConfig, seed=run.seed)
     space = hpo.SearchSpace.default()
 
     def objective(point: dict[str, float]) -> float:
-        params = model.build(arch, matrix, seed)
-        train_cfg = _train_config(config, seed)
-        train_cfg.lr = point["lr"]
-        train_cfg.weight_decay = point["weight_decay"]
-        train_cfg.max_epochs = 1
-        _, history = model.train(params, train_set, val_set, train_cfg)
+        trial = replace(base, lr=point["lr"], weight_decay=point["weight_decay"], max_epochs=1)
+        _, history = model.train(initial.copy(), train_set, val_set, trial)
         return 1.0 - history[-1].val_accuracy
 
     result = hpo.bo_loop(
         objective,
         space,
-        n_init=int(cfg(config, "hpo.n_init", 3)),
-        n_iter=int(cfg(config, "hpo.n_iter", 10)),
-        seed=seed,
+        n_init=int(cfg(run.config, "hpo.n_init", 3)),
+        n_iter=int(cfg(run.config, "hpo.n_iter", 10)),
+        seed=run.seed,
     )
-    hpo.write_bo_trace(result, space, out / "bo_trace.csv")
-    _write_run_json(out, "tune-hparams", config, seed)
+    hpo.write_bo_trace(result, space, run.out / "bo_trace.csv")
     print(
         f"best: lr={result.best_params['lr']:.6g} "
         f"weight_decay={result.best_params['weight_decay']:.6g} "
         f"objective={result.best_objective:.4f}"
     )
-    return 0
 
 
 def cmd_gradcheck(args) -> int:
@@ -469,16 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, needs_config=True):
+    def add(name, command, help_text):
         p = sub.add_parser(name, help=help_text)
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the JSON run config")
+        p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--task", choices=["a", "b", "c"], help="OLID subtask")
         p.add_argument("--seed", type=int, default=None, help="override data.seed")
         p.add_argument("--deterministic", action="store_true",
                        help="accepted for compatibility; every run is deterministic")
-        p.set_defaults(fn=fn)
-        return p
+        p.set_defaults(fn=_runner(command))
 
     add("preprocess", cmd_preprocess, "clean an OLID file; write clean.tsv and vocab.txt")
     add("stats", cmd_stats, "per-class user-count mean/std table")

@@ -177,9 +177,6 @@ class Vocabulary:
             self.index_to_token.append(token)
         return idx
 
-    def __len__(self) -> int:
-        return len(self.index_to_token)
-
     @property
     def size(self) -> int:
         return len(self.index_to_token)

@@ -272,12 +272,16 @@ def train_cbow(
 
 
 def load_text_embeddings(stream: IO[str]) -> dict[str, np.ndarray]:
-    """Parse `token v1 ... vd` lines; the first line fixes d."""
+    """Parse `token v1 ... vd` lines; the first vector line fixes d.
+
+    A first line of exactly two integers is the `count dim` header of a
+    word2vec/fastText `.vec` file and is skipped; so are trailing spaces.
+    """
     vectors: dict[str, np.ndarray] = {}
     dim = None
     for line_no, line in enumerate(stream, start=1):
-        parts = line.rstrip("\n").split(" ")
-        if parts == [""]:
+        parts = line.rstrip(" \n").split(" ")
+        if parts == [""] or (line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts)):
             continue
         if dim is None:
             dim = len(parts) - 1
@@ -288,10 +292,26 @@ def load_text_embeddings(stream: IO[str]) -> dict[str, np.ndarray]:
                 f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
             )
         try:
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
+            vector = np.array([float(x) for x in parts[1:]])
         except ValueError:
             raise ValueError(f"line {line_no}: non-numeric vector component") from None
+        if not np.isfinite(vector).all():
+            raise ValueError(f"line {line_no}: non-finite vector component")
+        vectors[parts[0]] = vector
     return vectors
+
+
+def load_vectors(path, cfg: NgramConfig):
+    """Word vectors from a text file, its format told by the first line: the
+    `V B d` header of `save_fasttext` loads a FastTextModel with `cfg`'s
+    n-gram range (the file does not store it); anything else is read by
+    `load_text_embeddings`."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) == 3 and all(x.isdigit() for x in header):
+            return load_fasttext(path, cfg)
+        fh.seek(0)
+        return load_text_embeddings(fh)
 
 
 def build_embedding_matrix(vocab: Vocabulary, source) -> np.ndarray:
@@ -354,4 +374,8 @@ def load_fasttext(path, cfg: NgramConfig | None = None) -> FastTextModel:
             if len(parts) != dim:
                 raise ValueError(f"{path}: bucket line {v + i + 2} has wrong arity")
             bucket_vecs[i] = [float(x) for x in parts]
+    for first_line, rows in ((2, word_in), (v + 2, bucket_vecs)):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if len(bad):
+            raise ValueError(f"{path}: line {first_line + bad[0]}: non-finite vector component")
     return FastTextModel(tokens, None, dim, cfg, word_in, bucket_vecs, np.zeros((v, dim)))

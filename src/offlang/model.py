@@ -118,19 +118,24 @@ class ModelParams:
 
 
 def layer_param_counts(arch: ModelArch, vocab_size: int) -> list[tuple[str, tuple, int]]:
-    """Per-layer (name, output shape, parameter count) rows, summary-style."""
-    two_h = 2 * arch.hidden
+    """Per-layer (name, output shape, parameter count) rows, summary-style;
+    the counts are the sizes of the tensors `build` makes."""
+    tensors = build(arch, np.zeros((vocab_size, arch.embed_dim)), seed=0).tensors
+
+    def count(prefix: str) -> int:
+        return sum(p.size for name, p in tensors.items() if name.startswith(prefix))
+
     t_out = arch.seq_len - arch.kernel + 1
     return [
-        ("embedding", (arch.seq_len, arch.embed_dim), vocab_size * arch.embed_dim),
+        ("embedding", (arch.seq_len, arch.embed_dim), count("embedding")),
         ("spatial_dropout", (arch.seq_len, arch.embed_dim), 0),
-        ("bidirectional", (arch.seq_len, two_h), 2 * nn.lstm_param_count(arch.embed_dim, arch.hidden)),
-        ("conv", (t_out, arch.filters), nn.conv_param_count(arch.kernel, two_h, arch.filters)),
+        ("bidirectional", (arch.seq_len, 2 * arch.hidden), count("lstm_")),
+        ("conv", (t_out, arch.filters), count("conv_")),
         ("max_pooling", (arch.filters,), 0),
         ("average_pooling", (arch.filters,), 0),
         ("concatenate", (2 * arch.filters,), 0),
-        ("dense", (arch.ffnn_hidden,), nn.dense_param_count(arch.feature_dim, arch.ffnn_hidden)),
-        ("dense", (arch.output_units,), nn.dense_param_count(arch.ffnn_hidden, arch.output_units)),
+        ("dense", (arch.ffnn_hidden,), count("dense1_")),
+        ("dense", (arch.output_units,), count("out_")),
     ]
 
 
@@ -314,11 +319,13 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(idx))
         losses = []
-        for start in range(0, len(order), config.batch_size):
+        for step, start in enumerate(range(0, len(order), config.batch_size), start=1):
             sel = order[start : start + config.batch_size]
             params.zero_grads()
             probs, cache = _forward(params, idx[sel], uc[sel], True, rng, config.dropout)
             loss, dz2 = _loss_and_dz(probs, y[sel], config, arch.output_units, class_weights)
+            if not np.isfinite(loss):
+                raise ModelError(f"non-finite training loss {loss} at epoch {epoch}, step {step}")
             _backward(params, dz2, cache)
             nn.adam_step(trainable, state, config.lr, config.weight_decay)
             losses.append(loss)

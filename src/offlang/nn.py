@@ -62,11 +62,6 @@ def sigmoid_backward(dy: np.ndarray, s: np.ndarray) -> np.ndarray:
     return dy * s * (1.0 - s)
 
 
-def tanh_backward(dy: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # t is the tanh output
-    return dy * (1.0 - t * t)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -80,10 +75,6 @@ def softmax_backward(dy: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # dense
-
-def dense_param_count(n_in: int, n_out: int) -> int:
-    return n_in * n_out + n_out
-
 
 def dense_forward(x: np.ndarray, w: Param, b: Param):
     """y = x @ W^T + b for x of shape (B, in); W is (out, in)."""
@@ -116,16 +107,8 @@ class LstmParams:
     def hidden(self) -> int:
         return self.wh.values.shape[1]
 
-    @property
-    def param_count(self) -> int:
-        return self.wx.size + self.wh.size + self.b.size
-
     def params(self) -> list[Param]:
         return [self.wx, self.wh, self.b]
-
-
-def lstm_param_count(input_dim: int, hidden: int) -> int:
-    return 4 * ((input_dim + hidden) * hidden + hidden)
 
 
 def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> LstmParams:
@@ -137,22 +120,11 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> L
     return LstmParams(Param(wx), Param(wh), Param(b))
 
 
-def _gates(z: np.ndarray, h: int):
-    i = sigmoid(z[..., 0 * h : 1 * h])
-    f = sigmoid(z[..., 1 * h : 2 * h])
-    o = sigmoid(z[..., 2 * h : 3 * h])
-    g = np.tanh(z[..., 3 * h : 4 * h])
-    return i, f, o, g
-
-
 def lstm_forward(xs: np.ndarray, params: LstmParams):
     """Run the cell over a (B, T, in) sequence; returns (B, T, h) states."""
     B, T, _ = xs.shape
     hid = params.hidden
-    i_s = np.empty((B, T, hid))
-    f_s = np.empty((B, T, hid))
-    o_s = np.empty((B, T, hid))
-    g_s = np.empty((B, T, hid))
+    gates = np.empty((B, T, 4 * hid))  # activated, in the stacked gate layout
     c_s = np.empty((B, T, hid))
     tc_s = np.empty((B, T, hid))
     h_s = np.empty((B, T, hid))
@@ -166,44 +138,43 @@ def lstm_forward(xs: np.ndarray, params: LstmParams):
     c = np.zeros((B, hid))
     for t in range(T):
         z = xz[:, t] + h @ whT + b
-        i, f, o, g = _gates(z, hid)
+        gate = gates[:, t]
+        gate[:, : 3 * hid] = sigmoid(z[:, : 3 * hid])
+        gate[:, 3 * hid :] = np.tanh(z[:, 3 * hid :])
+        i, f, o, g = (gate[:, k * hid : (k + 1) * hid] for k in range(4))
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        i_s[:, t], f_s[:, t], o_s[:, t], g_s[:, t] = i, f, o, g
         c_s[:, t], tc_s[:, t], h_s[:, t] = c, tc, h
 
-    cache = (xs, params, i_s, f_s, o_s, g_s, c_s, tc_s, h_s)
+    cache = (xs, params, gates, c_s, tc_s, h_s)
     return h_s, cache
 
 
 def lstm_backward(dhs: np.ndarray, cache) -> np.ndarray:
     """Backprop through time; accumulates parameter grads, returns d(input)."""
-    xs, params, i_s, f_s, o_s, g_s, c_s, tc_s, h_s = cache
+    xs, params, gates, c_s, tc_s, h_s = cache
     B, T, hid = dhs.shape
 
     dz_all = np.empty((B, T, 4 * hid))
     wh = params.wh.values
     dh_next = np.zeros((B, hid))
     dc_next = np.zeros((B, hid))
+    c_zero = np.zeros((B, hid))
     for t in range(T - 1, -1, -1):
-        i, f, o, g = i_s[:, t], f_s[:, t], o_s[:, t], g_s[:, t]
+        gate = gates[:, t]
+        i, f, o, g = (gate[:, k * hid : (k + 1) * hid] for k in range(4))
         tc = tc_s[:, t]
-        c_prev = c_s[:, t - 1] if t > 0 else np.zeros((B, hid))
+        c_prev = c_s[:, t - 1] if t > 0 else c_zero
 
         dh = dhs[:, t] + dh_next
-        do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_next = dc * f
-
         dz = dz_all[:, t]
-        dz[:, 0 * hid : 1 * hid] = di * i * (1.0 - i)
-        dz[:, 1 * hid : 2 * hid] = df * f * (1.0 - f)
-        dz[:, 2 * hid : 3 * hid] = do * o * (1.0 - o)
-        dz[:, 3 * hid : 4 * hid] = dg * (1.0 - g * g)
+        dz[:, 0 * hid : 1 * hid] = dc * g * i * (1.0 - i)
+        dz[:, 1 * hid : 2 * hid] = dc * c_prev * f * (1.0 - f)
+        dz[:, 2 * hid : 3 * hid] = dh * tc * o * (1.0 - o)
+        dz[:, 3 * hid : 4 * hid] = dc * i * (1.0 - g * g)
+        dc_next = dc * f
         dh_next = dz @ wh
 
     h_prev_all = np.concatenate([np.zeros((B, 1, hid)), h_s[:, :-1]], axis=1)
@@ -258,10 +229,6 @@ def spatial_dropout_backward(dys: np.ndarray, mask) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # 1-D convolution (valid cross-correlation over time, ReLU applied)
-
-def conv_param_count(kernel: int, channels: int, filters: int) -> int:
-    return kernel * channels * filters + filters
-
 
 def conv1d_forward(xs: np.ndarray, kernel: Param, bias: Param):
     """(B, T, C) -> (B, T-k+1, F), post-ReLU. Kernel is (k, C, F)."""

@@ -10,7 +10,6 @@ from offlang.baseline import (
     _best_split,
     bow_matrix,
     cv_select_pu,
-    gini,
     predict_forest,
     train_forest,
 )
@@ -35,26 +34,6 @@ class TestBowMatrix:
     def test_column_count_is_vocab_size(self):
         vocab = corpus.build_vocab([["a", "b", "c"]])
         assert bow_matrix([["a"]], vocab).shape == (1, vocab.size)
-
-
-class TestGini:
-    @pytest.mark.parametrize(
-        "counts,expected",
-        [((5, 5), 0.5), ((10, 0), 0.0), ((1, 2, 3), 11 / 18)],
-    )
-    def test_values(self, counts, expected):
-        assert gini(counts) == pytest.approx(expected)
-
-    def test_bounds(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            counts = rng.integers(0, 20, size=int(rng.integers(2, 5)))
-            if counts.sum() == 0:
-                continue
-            k = (counts > 0).sum()
-            g = gini(counts)
-            assert 0.0 <= g <= 1.0 - 1.0 / max(k, 1) + 1e-12
-            assert (g == 0.0) == (k <= 1)
 
 
 def brute_force_best_split(X, y):

@@ -1,8 +1,9 @@
 import json
+from dataclasses import asdict, fields
 
 import pytest
 
-from offlang import cli
+from offlang import cli, embeddings, model
 from offlang.corpus import Vocabulary
 
 from conftest import OLID_FIXTURE
@@ -245,3 +246,63 @@ def test_unknown_label_in_data_reports_error(tmp_path, capsys):
     config, _ = write_config(tmp_path, out_name="bad_run", **{"data.train_path": str(bad)})
     assert cli.main(["preprocess", "--config", str(config)]) == 1
     assert "WAT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, cls, settings, fixed", [
+    ("embeddings", embeddings.NgramConfig, {"min_ngram": 2, "max_ngram": 4, "buckets": 77}, {}),
+    ("embeddings", embeddings.CbowTrainParams,
+     {"window": 2, "negatives": 3, "epochs": 4, "lr": 0.5, "subsample": 0.01}, {"seed": 11}),
+    ("model", model.ModelArch,
+     {"seq_len": 9, "hidden": 5, "kernel": 3, "filters": 7, "ffnn_hidden": 4, "use_user_count": True},
+     {"embed_dim": 6, "output_units": 3}),
+    ("model", model.TrainConfig,
+     {"lr": 0.5, "weight_decay": 0.25, "dropout": 0.125, "batch_size": 8, "max_epochs": 3,
+      "patience": 4, "loss": "soft_f1", "freeze_trunk": True}, {"seed": 11}),
+])
+def test_every_section_field_is_read(section, cls, settings, fixed):
+    built = asdict(cli._section({section: settings}, section, cls, **fixed))
+    renamed = {"min_ngram": "n_min", "max_ngram": "n_max"}
+    expected = {**{renamed.get(k, k): v for k, v in settings.items()}, **fixed}
+    assert built == expected
+    assert all(expected[f.name] != f.default for f in fields(cls))
+
+
+@pytest.mark.parametrize("key", ["model.use_user_count", "model.freeze_trunk"])
+def test_bool_settings_must_be_json_booleans(tmp_path, capsys, key):
+    config, _ = write_config(tmp_path, **{key: "false"})
+    assert cli.main(["train", "--config", str(config)]) == 1
+    assert f"config key {key} must be true or false, got 'false'" in capsys.readouterr().err
+
+
+def test_every_command_records_its_name(tmp_path, capsys):
+    small = {"model.max_epochs": 1, "hpo.n_init": 2, "hpo.n_iter": 1,
+             "baseline.grid": [0.0, 1.0], "baseline.folds": 2, "baseline.n_trees": 2}
+    trained = {"model": str(tmp_path / "train" / "model.bin"), "vocab": str(tmp_path / "train" / "vocab.txt")}
+    runs = [
+        ("train", {}),
+        ("preprocess", {}),
+        ("stats", {}),
+        ("resample-report", {}),
+        ("embed-train", {}),
+        ("transfer", {"data.task": "b", "transfer.source_model": trained["model"],
+                      "transfer.vocab": trained["vocab"]}),
+        ("predict", {"predict.model": trained["model"], "predict.vocab": trained["vocab"]}),
+        ("evaluate", {"evaluate.predictions": str(tmp_path / "predict" / "predictions.csv")}),
+        ("tune-pu", {}),
+        ("tune-hparams", {}),
+    ]
+    for command, overrides in runs:
+        config, out = write_config(tmp_path, out_name=command, **small, **overrides)
+        assert cli.main([command, "--config", str(config)]) == 0, command
+        assert json.loads((out / "run.json").read_text())["command"] == command
+
+
+def test_embed_train_output_feeds_train(tmp_path, capsys):
+    ngrams = {"embeddings.min_ngram": 2, "embeddings.max_ngram": 4}
+    config, out = write_config(tmp_path, **ngrams)
+    assert cli.main(["embed-train", "--config", str(config)]) == 0
+    assert cli.main(["train", "--config", str(config)]) == 0
+    external, external_out = write_config(tmp_path, out_name="external", **ngrams, **{
+        "embeddings.source": "external_file", "embeddings.path": str(out / "fasttext.txt")})
+    assert cli.main(["train", "--config", str(external)]) == 0
+    assert (external_out / "model.bin").read_bytes() == (out / "model.bin").read_bytes()

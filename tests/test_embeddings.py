@@ -16,6 +16,7 @@ from offlang.embeddings import (
     fnv1a_32,
     load_fasttext,
     load_text_embeddings,
+    load_vectors,
     ngram_strings,
     save_fasttext,
     train_cbow,
@@ -185,6 +186,16 @@ class TestLoadTextEmbeddings:
         with pytest.raises(ValueError, match="line 1"):
             load_text_embeddings(io.StringIO("hello x y\n"))
 
+    def test_vec_header_and_trailing_spaces(self):
+        out = load_text_embeddings(io.StringIO("2 3\nhello 0.1 0.2 0.3 \nworld 1 2 3 \n"))
+        assert set(out) == {"hello", "world"}
+        assert np.array_equal(out["world"], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_names_line(self, bad):
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_text_embeddings(io.StringIO(f"hello 0.1 0.2\nworld 0.1 {bad}\n"))
+
 
 class TestEmbeddingMatrix:
     def test_pad_row_zero_and_unk_mean(self):
@@ -230,6 +241,22 @@ class TestSaveLoad:
         assert np.array_equal(loaded.bucket_vecs, m.bucket_vecs)
         for w in ("red", "blue", "purple"):
             assert np.allclose(loaded.word_vector(w), m.word_vector(w))
+
+    def test_load_vectors_tells_the_format_from_the_first_line(self, tmp_path):
+        m = FastTextModel.init(["red", "blue"], np.array([1.0, 1.0]), 3, NgramConfig(2, 4, buckets=7), seed=0)
+        save_fasttext(m, tmp_path / "ft.txt")
+        loaded = load_vectors(tmp_path / "ft.txt", NgramConfig(2, 4, buckets=99))
+        assert loaded.cfg == NgramConfig(2, 4, buckets=7)
+        assert np.array_equal(loaded.word_vector("green"), m.word_vector("green"))
+        (tmp_path / "plain.txt").write_text("red 1 2 3\n")
+        assert list(load_vectors(tmp_path / "plain.txt", NgramConfig())) == ["red"]
+
+    def test_non_finite_component_names_line(self, tmp_path):
+        m = FastTextModel.init(["x", "y"], np.array([1.0, 1.0]), 3, NgramConfig(buckets=5), seed=0)
+        m.bucket_vecs[1, 2] = np.nan
+        save_fasttext(m, tmp_path / "ft.txt")
+        with pytest.raises(ValueError, match="line 5: non-finite"):
+            load_fasttext(tmp_path / "ft.txt")
 
     def test_truncated_file_rejected(self, tmp_path):
         m = FastTextModel.init(["x"], np.array([1.0]), 3, NgramConfig(buckets=5), seed=0)

@@ -183,6 +183,12 @@ class TestTrain:
         acc = float(((probs >= 0.5).astype(int) == np.array([e.label for e in examples[320:]])).mean())
         assert acc == pytest.approx(best_epoch.val_accuracy, abs=1e-12)
 
+    def test_non_finite_loss_raises(self):
+        arch, matrix, examples = self._dataset(n=64, seed=5)
+        matrix[corpus.PAD_INDEX] = np.nan  # every example is padded
+        with pytest.raises(ModelError, match="epoch 1, step 1"):
+            train(build(arch, matrix, seed=1), examples[:32], examples[32:], TrainConfig(seed=1))
+
     def test_keyword_task_reaches_95(self):
         arch, matrix, examples = self._dataset(n=2000, seed=3)
         params = build(arch, matrix, seed=1)
