@@ -74,7 +74,7 @@ def _runner(command):
         config = load_config(args.config)
         out = Path(cfg(config, "output.dir"))
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else int(cfg(config, "data.seed", 0))
+        seed = args.seed if args.seed is not None else _scalar(config, "data.seed", 0)
         run = Run(args, config, seed, out)
         command(run)
         payload = {
@@ -90,6 +90,18 @@ def _runner(command):
         return 0
 
     return run_command
+
+
+def _scalar(config: dict, dotted: str, default):
+    """Config key `dotted`, coerced to the type of its default; a bool must
+    be a JSON boolean."""
+    value, kind = cfg(config, dotted, default), type(default)
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"config key {dotted} must be true or false, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {dotted} must be {kind.__name__}, got {value!r}") from None
 
 
 # config keys named differently from the dataclass fields they set
@@ -108,25 +120,19 @@ def _section(config: dict, name: str, cls, **fixed):
         key = _KEYS.get(f.name, f.name)
         if f.name in fixed or key not in section:
             continue
-        value, kind = section[key], type(f.default)
-        if kind is bool and not isinstance(value, bool):
-            raise ConfigError(f"config key {name}.{key} must be true or false, got {value!r}")
-        try:
-            values[f.name] = kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {name}.{key} must be {kind.__name__}, got {value!r}") from None
+        values[f.name] = _scalar(config, f"{name}.{key}", f.default)
     return cls(**values)
 
 
 def _embed_dim(config: dict) -> int:
-    return int(cfg(config, "embeddings.dim", model.ModelArch.embed_dim))
+    return _scalar(config, "embeddings.dim", model.ModelArch.embed_dim)
 
 
 _DEFAULT_PU = {"a": 0.3, "b": 0.2, "c": 0.7}
 
 
 def _p_u(run: Run) -> float:
-    return float(cfg(run.config, "resample.p_u", _DEFAULT_PU[run.task]))
+    return _scalar(run.config, "resample.p_u", _DEFAULT_PU[run.task])
 
 
 def _tokens(records) -> list[list[str]]:
@@ -157,7 +163,7 @@ def _split(run: Run, records, vocab, seq_len: int):
     validation sets; the train set is rebalanced to resample.p_u."""
     task = run.task
     examples = corpus.encode_records(corpus.filter_task(records, task), vocab, task, seq_len)
-    train_set, val_set = _stratified_split(examples, float(cfg(run.config, "data.val_fraction", 0.2)), run.seed)
+    train_set, val_set = _stratified_split(examples, _scalar(run.config, "data.val_fraction", 0.2), run.seed)
     p_u = _p_u(run)
     train_set = resample.rebalance(train_set, p_u, run.seed)
     run.resolved.update(task=task, p_u=p_u, train_examples=len(train_set), val_examples=len(val_set))
@@ -347,8 +353,8 @@ def cmd_tune_pu(run: Run) -> None:
         X,
         y,
         grid=cfg(run.config, "baseline.grid", [round(0.1 * i, 1) for i in range(11)]),
-        folds=int(cfg(run.config, "baseline.folds", 5)),
-        n_trees=int(cfg(run.config, "baseline.n_trees", 100)),
+        folds=_scalar(run.config, "baseline.folds", 5),
+        n_trees=_scalar(run.config, "baseline.n_trees", 100),
         seed=run.seed,
     )
     baseline.write_pu_report(candidates, run.out / "pu_report.csv")
@@ -373,8 +379,8 @@ def cmd_tune_hparams(run: Run) -> None:
     result = hpo.bo_loop(
         objective,
         space,
-        n_init=int(cfg(run.config, "hpo.n_init", 3)),
-        n_iter=int(cfg(run.config, "hpo.n_iter", 10)),
+        n_init=_scalar(run.config, "hpo.n_init", 3),
+        n_iter=_scalar(run.config, "hpo.n_iter", 10),
         seed=run.seed,
     )
     hpo.write_bo_trace(result, space, run.out / "bo_trace.csv")

@@ -297,6 +297,8 @@ def load_text_embeddings(stream: IO[str]) -> dict[str, np.ndarray]:
             raise ValueError(f"line {line_no}: non-numeric vector component") from None
         if not np.isfinite(vector).all():
             raise ValueError(f"line {line_no}: non-finite vector component")
+        if parts[0] in vectors:
+            raise ValueError(f"line {line_no}: repeated token {parts[0]!r}")
         vectors[parts[0]] = vector
     return vectors
 

@@ -1,9 +1,15 @@
 """Central finite-difference verification of every hand-derived backward pass.
 
-The numeric side perturbs raw arrays and re-runs the forward; it shares no
-code with the analytic gradients it checks. Piecewise-linear layers (ReLU,
-max-pool) are probed at inputs resampled away from their kinks, where the
+A check is its inputs, a forward and a backward. `_worst` compares each
+analytic gradient with `numeric_gradient`, which perturbs the raw array in
+place and re-runs the forward; the numeric side shares no code with the
+analytic gradients it checks. Piecewise-linear layers (ReLU, max-pool) are
+probed at inputs resampled away from their kinks, where the
 finite-difference quotient is meaningless.
+
+To add a check, write a `check_*(seed) -> float` that draws its inputs from
+`np.random.default_rng(seed)` and returns `_layer_check(...)` for a layer or
+`_loss_check(...)` for a loss, and give it one `ALL_CHECKS` entry.
 """
 
 from dataclasses import dataclass
@@ -43,8 +49,24 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
-def _projection_loss(out: np.ndarray, proj: np.ndarray) -> float:
-    return float((out * proj).sum())
+def _worst(loss: Callable[[], float], pairs) -> float:
+    """Worst error over (analytic gradient, array) pairs of scalar loss()."""
+    return max(max_rel_error(analytic, numeric_gradient(loss, x)) for analytic, x in pairs)
+
+
+def _layer_check(forward, backward, xs: np.ndarray, params: list[nn.Param], proj: np.ndarray) -> float:
+    """d(xs) and every parameter gradient of the loss sum(forward(xs)[0] * proj);
+    `forward` closes over `params`, whose values are perturbed in place."""
+    _, cache = forward(xs)
+    dxs = backward(proj, cache)
+    return _worst(lambda: float((forward(xs)[0] * proj).sum()),
+                  [(dxs, xs)] + [(p.grad, p.values) for p in params])
+
+
+def _loss_check(loss_fn, probs: np.ndarray, *args) -> float:
+    """d(probs) of loss_fn(probs, *args), which returns (loss, d(probs))."""
+    _, dprobs = loss_fn(probs, *args)
+    return _worst(lambda: loss_fn(probs, *args)[0], [(dprobs, probs)])
 
 
 def check_dense(seed: int) -> float:
@@ -53,19 +75,7 @@ def check_dense(seed: int) -> float:
     w = nn.Param(rng.normal(size=(5, 3)))
     b = nn.Param(rng.normal(size=5))
     proj = rng.normal(size=(2, 5))
-
-    def loss() -> float:
-        y, _ = nn.dense_forward(x, w, b)
-        return _projection_loss(y, proj)
-
-    y, cache = nn.dense_forward(x, w, b)
-    dx = nn.dense_backward(proj, cache)
-    errs = [
-        max_rel_error(dx, numeric_gradient(loss, x)),
-        max_rel_error(w.grad, numeric_gradient(loss, w.values)),
-        max_rel_error(b.grad, numeric_gradient(loss, b.values)),
-    ]
-    return max(errs)
+    return _layer_check(lambda x: nn.dense_forward(x, w, b), nn.dense_backward, x, [w, b], proj)
 
 
 def _lstm_case(seed: int, T: int) -> float:
@@ -76,17 +86,7 @@ def _lstm_case(seed: int, T: int) -> float:
     for p in params.params():
         p.values[...] = rng.normal(scale=0.5, size=p.values.shape)
     proj = rng.normal(size=(B, T, hid))
-
-    def loss() -> float:
-        hs, _ = nn.lstm_forward(xs, params)
-        return _projection_loss(hs, proj)
-
-    hs, cache = nn.lstm_forward(xs, params)
-    dxs = nn.lstm_backward(proj, cache)
-    errs = [max_rel_error(dxs, numeric_gradient(loss, xs))]
-    for p in params.params():
-        errs.append(max_rel_error(p.grad, numeric_gradient(loss, p.values)))
-    return max(errs)
+    return _layer_check(lambda x: nn.lstm_forward(x, params), nn.lstm_backward, xs, params.params(), proj)
 
 
 def check_lstm_cell(seed: int) -> float:
@@ -106,55 +106,24 @@ def check_bilstm(seed: int) -> float:
     for p in fwd.params() + bwd.params():
         p.values[...] = rng.normal(scale=0.5, size=p.values.shape)
     proj = rng.normal(size=(B, T, 2 * hid))
-
-    def loss() -> float:
-        out, _ = nn.bilstm_forward(xs, fwd, bwd)
-        return _projection_loss(out, proj)
-
-    out, cache = nn.bilstm_forward(xs, fwd, bwd)
-    dxs = nn.bilstm_backward(proj, cache)
-    errs = [max_rel_error(dxs, numeric_gradient(loss, xs))]
-    for p in fwd.params() + bwd.params():
-        errs.append(max_rel_error(p.grad, numeric_gradient(loss, p.values)))
-    return max(errs)
-
-
-def _sample_away_from_relu_kink(rng, make_z, min_gap=1e-3, tries=50):
-    """Resample until no conv pre-activation sits within `min_gap` of zero."""
-    for _ in range(tries):
-        xs, kernel, bias, z = make_z(rng)
-        if np.abs(z).min() > min_gap:
-            return xs, kernel, bias
-    raise RuntimeError("could not sample conv inputs away from the ReLU kink")
+    return _layer_check(lambda x: nn.bilstm_forward(x, fwd, bwd), nn.bilstm_backward,
+                        xs, fwd.params() + bwd.params(), proj)
 
 
 def check_conv1d(seed: int) -> float:
     rng = np.random.default_rng(seed)
-
-    def make(rng):
+    # resample until no pre-activation sits within 1e-3 of the ReLU kink
+    for _ in range(50):
         xs = rng.normal(size=(2, 6, 3))
         kernel = nn.Param(rng.normal(size=(2, 3, 2)))
         bias = nn.Param(rng.normal(size=2))
-        _, cache = nn.conv1d_forward(xs, kernel, bias)
-        return xs, kernel, bias, cache[3]
-
-    xs, kernel, bias = _sample_away_from_relu_kink(rng, make)
+        if np.abs(nn.conv1d_forward(xs, kernel, bias)[1][3]).min() > 1e-3:
+            break
+    else:
+        raise RuntimeError("could not sample conv inputs away from the ReLU kink")
     proj = rng.normal(size=(2, 5, 2))
-
-    def loss() -> float:
-        y, _ = nn.conv1d_forward(xs, kernel, bias)
-        return _projection_loss(y, proj)
-
-    y, cache = nn.conv1d_forward(xs, kernel, bias)
-    kernel.zero_grad()
-    bias.zero_grad()
-    dxs = nn.conv1d_backward(proj, cache)
-    errs = [
-        max_rel_error(dxs, numeric_gradient(loss, xs)),
-        max_rel_error(kernel.grad, numeric_gradient(loss, kernel.values)),
-        max_rel_error(bias.grad, numeric_gradient(loss, bias.values)),
-    ]
-    return max(errs)
+    return _layer_check(lambda x: nn.conv1d_forward(x, kernel, bias), nn.conv1d_backward,
+                        xs, [kernel, bias], proj)
 
 
 def check_pooling(seed: int) -> float:
@@ -166,71 +135,33 @@ def check_pooling(seed: int) -> float:
         if (top2[:, 1] - top2[:, 0]).min() > 1e-3:
             break
     proj = rng.normal(size=(2, 3))
-
-    def max_loss() -> float:
-        y, _ = nn.global_max_pool_forward(xs)
-        return _projection_loss(y, proj)
-
-    def avg_loss() -> float:
-        y, _ = nn.global_avg_pool_forward(xs)
-        return _projection_loss(y, proj)
-
-    _, mx_cache = nn.global_max_pool_forward(xs)
-    _, av_shape = nn.global_avg_pool_forward(xs)
-    errs = [
-        max_rel_error(nn.global_max_pool_backward(proj, mx_cache), numeric_gradient(max_loss, xs)),
-        max_rel_error(nn.global_avg_pool_backward(proj, av_shape), numeric_gradient(avg_loss, xs)),
-    ]
-    return max(errs)
+    return max(
+        _layer_check(nn.global_max_pool_forward, nn.global_max_pool_backward, xs, [], proj),
+        _layer_check(nn.global_avg_pool_forward, nn.global_avg_pool_backward, xs, [], proj),
+    )
 
 
 def check_bce(seed: int) -> float:
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.05, 0.95, size=6)
     y = rng.integers(0, 2, size=6).astype(float)
-    weights = rng.uniform(0.5, 2.0, size=2)
-
-    def loss() -> float:
-        return nn.bce_loss(p, y, weights)[0]
-
-    _, dp = nn.bce_loss(p, y, weights)
-    return max_rel_error(dp, numeric_gradient(loss, p))
+    return _loss_check(nn.bce_loss, p, y, rng.uniform(0.5, 2.0, size=2))
 
 
 def check_categorical_ce(seed: int) -> float:
     rng = np.random.default_rng(seed)
     probs = nn.softmax(rng.normal(size=(5, 3)))
-    onehot = np.zeros((5, 3))
-    onehot[np.arange(5), rng.integers(0, 3, size=5)] = 1.0
-    weights = rng.uniform(0.5, 2.0, size=3)
-
-    def loss() -> float:
-        return nn.categorical_ce_loss(probs, onehot, weights)[0]
-
-    _, dprobs = nn.categorical_ce_loss(probs, onehot, weights)
-    return max_rel_error(dprobs, numeric_gradient(loss, probs))
+    onehot = np.eye(3)[rng.integers(0, 3, size=5)]
+    return _loss_check(nn.categorical_ce_loss, probs, onehot, rng.uniform(0.5, 2.0, size=3))
 
 
 def check_soft_f1(seed: int) -> float:
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.05, 0.95, size=6)
     y = rng.integers(0, 2, size=6).astype(float)
-
-    def loss_bin() -> float:
-        return nn.soft_f1_loss(p, y)[0]
-
-    _, dp = nn.soft_f1_loss(p, y)
-    err = max_rel_error(dp, numeric_gradient(loss_bin, p))
-
     probs = nn.softmax(rng.normal(size=(6, 3)))
-    onehot = np.zeros((6, 3))
-    onehot[np.arange(6), rng.integers(0, 3, size=6)] = 1.0
-
-    def loss_multi() -> float:
-        return nn.soft_f1_loss(probs, onehot)[0]
-
-    _, dprobs = nn.soft_f1_loss(probs, onehot)
-    return max(err, max_rel_error(dprobs, numeric_gradient(loss_multi, probs)))
+    onehot = np.eye(3)[rng.integers(0, 3, size=6)]
+    return max(_loss_check(nn.soft_f1_loss, p, y), _loss_check(nn.soft_f1_loss, probs, onehot))
 
 
 def check_cbow(seed: int) -> float:
@@ -241,31 +172,17 @@ def check_cbow(seed: int) -> float:
     word_out = rng.normal(scale=0.5, size=(v, dim))
     # two context tokens sharing one bucket row exercises grad accumulation
     ctx = [np.array([0, v + 1, v + 2]), np.array([3, v + 2])]
-    center = 4
-    negs = np.array([1, 5, 1])  # duplicate negative on purpose
+    center, negs = 4, np.array([1, 5, 1])  # duplicate negative on purpose
+    args = (word_in, bucket_vecs, word_out, ctx, center, negs)
 
-    def loss() -> float:
-        return cbow_pair_loss(word_in, bucket_vecs, word_out, ctx, center, negs)[0]
-
-    _, input_grads, (targets, out_grads) = cbow_pair_loss(
-        word_in, bucket_vecs, word_out, ctx, center, negs
-    )
-    analytic_in = np.zeros_like(word_in)
-    analytic_buckets = np.zeros_like(bucket_vecs)
+    _, input_grads, (targets, out_grads) = cbow_pair_loss(*args)
+    analytic_rows = np.zeros((v + buckets, dim))  # virtual ids: bucket rows after word rows
     for rid, g in input_grads.items():
-        if rid < v:
-            analytic_in[rid] += g
-        else:
-            analytic_buckets[rid - v] += g
+        analytic_rows[rid] += g
     analytic_out = np.zeros_like(word_out)
     np.add.at(analytic_out, targets, out_grads)
-
-    errs = [
-        max_rel_error(analytic_in, numeric_gradient(loss, word_in)),
-        max_rel_error(analytic_buckets, numeric_gradient(loss, bucket_vecs)),
-        max_rel_error(analytic_out, numeric_gradient(loss, word_out)),
-    ]
-    return max(errs)
+    return _worst(lambda: cbow_pair_loss(*args)[0],
+                  [(analytic_rows[:v], word_in), (analytic_rows[v:], bucket_vecs), (analytic_out, word_out)])
 
 
 @dataclass
@@ -295,6 +212,8 @@ ALL_CHECKS: list[tuple[str, Callable[[int], float]]] = [
 
 def run_all(n_seeds: int = 20, tolerance: float = 1e-4, seed0: int = 0) -> list[CheckResult]:
     """Every differentiable operation against finite differences, per seed."""
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
     results = []
     for name, fn in ALL_CHECKS:
         worst = max(fn(seed0 + s) for s in range(n_seeds))

@@ -306,3 +306,11 @@ def test_embed_train_output_feeds_train(tmp_path, capsys):
         "embeddings.source": "external_file", "embeddings.path": str(out / "fasttext.txt")})
     assert cli.main(["train", "--config", str(external)]) == 0
     assert (external_out / "model.bin").read_bytes() == (out / "model.bin").read_bytes()
+
+
+@pytest.mark.parametrize("command, key", [("preprocess", "data.seed"), ("tune-pu", "baseline.folds")])
+def test_null_scalar_setting_is_named(tmp_path, capsys, command, key):
+    config, _ = write_config(tmp_path, **{key: None})
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"config key {key} must be int, got None" in err and "Traceback" not in err

@@ -196,6 +196,10 @@ class TestLoadTextEmbeddings:
         with pytest.raises(ValueError, match="line 2: non-finite"):
             load_text_embeddings(io.StringIO(f"hello 0.1 0.2\nworld 0.1 {bad}\n"))
 
+    def test_repeated_token_names_token_and_line(self):
+        with pytest.raises(ValueError, match="line 3: repeated token 'tok'"):
+            load_text_embeddings(io.StringIO("tok 1 2\nother 0 0\ntok 3 4\n"))
+
 
 class TestEmbeddingMatrix:
     def test_pad_row_zero_and_unk_mean(self):
