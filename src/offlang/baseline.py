@@ -189,10 +189,7 @@ def cv_select_pu(
         for fold in range(folds):
             test_mask = fold_of == fold
             train_rows = np.flatnonzero(~test_mask)
-            balanced = rebalance(
-                list(train_rows), p_u, seed=seed + fold, label_of=lambda r: int(y[r])
-            )
-            rows = np.asarray(balanced)
+            rows = train_rows[rebalance(y[train_rows], p_u, seed=seed + fold)]
             forest = train_forest(X[rows], y[rows], n_trees=n_trees, seed=seed + 31 * fold)
             pred = predict_forest(forest, X[test_mask])
             scores.append(prf_macro(confusion(y[test_mask], pred, n_classes)).macro_f1)

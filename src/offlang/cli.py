@@ -4,6 +4,7 @@ records a run.json sufficient to replay it.
 """
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -93,15 +94,15 @@ def _runner(command):
 
 
 def _scalar(config: dict, dotted: str, default):
-    """Config key `dotted`, coerced to the type of its default; a bool must
-    be a JSON boolean."""
+    """Config key `dotted`, which must already have its default's type; an
+    int is accepted where a float is expected, and read as that float."""
     value, kind = cfg(config, dotted, default), type(default)
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"config key {dotted} must be true or false, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {dotted} must be {kind.__name__}, got {value!r}") from None
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"config key {dotted} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 # config keys named differently from the dataclass fields they set
@@ -109,8 +110,8 @@ _KEYS = {"n_min": "min_ngram", "n_max": "max_ngram"}
 
 
 def _section(config: dict, name: str, cls, **fixed):
-    """`cls` from config section `name`: each field the section sets, coerced
-    to the type of the field's default, plus the `fixed` fields. The
+    """`cls` from config section `name`: each field the section sets, read
+    by `_scalar` against the field's default, plus the `fixed` fields. The
     defaults live on `cls` alone."""
     section = cfg(config, name, {})
     if not isinstance(section, dict):
@@ -139,33 +140,29 @@ def _tokens(records) -> list[list[str]]:
     return [corpus.tokenize(r.clean_text) for r in records]
 
 
-def _stratified_split(examples, val_fraction: float, seed: int):
+def _stratified_split(labels: np.ndarray, val_fraction: float, seed: int):
+    """Sorted (train, validation) row positions; each class gives
+    round(val_fraction * its size) random rows to validation."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for i, ex in enumerate(examples):
-        by_class.setdefault(ex.label, []).append(i)
-    train_idx, val_idx = [], []
-    for label in sorted(by_class):
-        rows = np.array(by_class[label])
-        rows = rows[rng.permutation(len(rows))]
-        n_val = int(round(len(rows) * val_fraction))
-        val_idx.extend(rows[:n_val].tolist())
-        train_idx.extend(rows[n_val:].tolist())
-    train_idx.sort()
-    val_idx.sort()
-    return [examples[i] for i in train_idx], [examples[i] for i in val_idx]
+    val = np.zeros(len(labels), dtype=bool)
+    for label in np.unique(labels):
+        rows = np.flatnonzero(labels == label)
+        val[rows[rng.permutation(len(rows))][: int(round(len(rows) * val_fraction))]] = True
+    return np.flatnonzero(~val), np.flatnonzero(val)
 
 
 def _split(run: Run, records, vocab, seq_len: int):
     """The task's records encoded and split stratified into train and
     validation sets; the train set is rebalanced to resample.p_u."""
     task = run.task
-    examples = corpus.encode_records(corpus.filter_task(records, task), vocab, task, seq_len)
-    train_set, val_set = _stratified_split(examples, _scalar(run.config, "data.val_fraction", 0.2), run.seed)
+    records = corpus.filter_task(records, task)
+    examples = corpus.Examples(*corpus.encode_records(records, vocab, seq_len), corpus.label_indices(records, task))
+    train_rows, val_rows = _stratified_split(examples.label, _scalar(run.config, "data.val_fraction", 0.2), run.seed)
     p_u = _p_u(run)
-    train_set = resample.rebalance(train_set, p_u, run.seed)
+    train_set, val_set = examples[train_rows], examples[val_rows]
+    train_set = train_set[resample.rebalance(train_set.label, p_u, run.seed)]
     run.resolved.update(task=task, p_u=p_u, train_examples=len(train_set), val_examples=len(val_set))
     return train_set, val_set
 
@@ -231,11 +228,10 @@ def cmd_stats(run: Run) -> None:
 
 def cmd_resample_report(run: Run) -> None:
     task = run.task
-    records = corpus.filter_task(run.records(), task)
-    before = resample.class_counts([r.label_for(task) for r in records])
+    labels = [r.label_for(task) for r in corpus.filter_task(run.records(), task)]
     p_u = _p_u(run)
-    balanced = resample.rebalance(records, p_u, run.seed, label_of=lambda r: r.label_for(task))
-    after = resample.class_counts([r.label_for(task) for r in balanced])
+    before = resample.class_counts(labels)
+    after = resample.class_counts([labels[row] for row in resample.rebalance(labels, p_u, run.seed)])
     rows = resample.resample_report(before, after)
     lines = ["class\tbefore\tafter"] + [f"{c}\t{b}\t{a}" for c, b, a in rows]
     (run.out / "resample_report.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -279,54 +275,44 @@ def cmd_predict(run: Run) -> None:
     params, _ = model.load_model(cfg(run.config, "predict.model"), vocab.content_hash())
     records = run.records("data.test_path")
     names = corpus.TASK_LABELS[task]
-    encoded = [
-        corpus.EncodedExample(
-            indices=corpus.encode(corpus.tokenize(r.clean_text), vocab, params.arch.seq_len),
-            user_count=r.user_count,
-            label=0,
-        )
-        for r in records
-    ]
-    labels = model.predict(params, encoded)
-    with open(run.out / "predictions.csv", "w", encoding="utf-8") as fh:
-        fh.write("id,label\n")
-        for r, y in zip(records, labels):
-            fh.write(f"{r.id},{names[int(y)]}\n")
+    labels = model.predict(params, *corpus.encode_records(records, vocab, params.arch.seq_len))
+    with open(run.out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label"])
+        writer.writerows((r.id, names[y]) for r, y in zip(records, labels))
     print(f"wrote {len(records)} predictions for task {task}")
 
 
 def cmd_evaluate(run: Run) -> None:
     task = run.task
     names = corpus.TASK_LABELS[task]
-    index = {name: i for i, name in enumerate(names)}
-
-    gold = {
-        r.id: index[r.label_for(task)]
-        for r in corpus.filter_task(run.records("data.test_path"), task)
-    }
+    records = corpus.filter_task(run.records("data.test_path"), task)
+    gold = dict(zip((r.id for r in records), corpus.label_indices(records, task).tolist()))
     if not gold:
         raise ConfigError(f"the gold file has no records for task {task}")
     # ids outside the gold set are ignored: predict labels every record,
     # including those that are NULL for tasks b and c
     predictions_path = cfg(run.config, "evaluate.predictions")
     predicted: dict[str, int] = {}
-    with open(predictions_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != ["id", "label"]:
-            raise ConfigError(f"{predictions_path}: expected header id,label")
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"{predictions_path}:{line_no}: expected 2 fields, got {len(parts)}")
-            rid, label = parts
-            if label not in index:
-                raise ConfigError(
-                    f"{predictions_path}:{line_no}: unknown label {label!r} for task {task}; "
-                    f"expected one of {', '.join(names)}"
-                )
-            if rid in predicted:
-                raise ConfigError(f"{predictions_path}:{line_no}: duplicate prediction id {rid!r}")
-            predicted[rid] = index[label]
+    with open(predictions_path, encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh, strict=True)
+        try:
+            if next(rows, None) != ["id", "label"]:
+                raise ConfigError(f"{predictions_path}: expected header id,label")
+            for parts in rows:
+                where = f"{predictions_path}:{rows.line_num}"
+                if len(parts) != 2:
+                    raise ConfigError(f"{where}: expected 2 fields, got {len(parts)}")
+                rid, label = parts
+                if label not in names:
+                    raise ConfigError(
+                        f"{where}: unknown label {label!r} for task {task}; expected one of {', '.join(names)}"
+                    )
+                if rid in predicted:
+                    raise ConfigError(f"{where}: duplicate prediction id {rid!r}")
+                predicted[rid] = names.index(label)
+        except csv.Error as exc:
+            raise ConfigError(f"{predictions_path}:{rows.line_num}: {exc}") from None
     missing = [rid for rid in gold if rid not in predicted]
     if missing:
         raise ConfigError(
@@ -346,8 +332,7 @@ def cmd_tune_pu(run: Run) -> None:
     records = corpus.filter_task(run.records(), task)
     tokens = _tokens(records)
     X = baseline.bow_matrix(tokens, corpus.build_vocab(tokens))
-    label_index = {name: i for i, name in enumerate(corpus.TASK_LABELS[task])}
-    y = np.array([label_index[r.label_for(task)] for r in records])
+    y = corpus.label_indices(records, task)
 
     best, candidates = baseline.cv_select_pu(
         X,

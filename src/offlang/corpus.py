@@ -8,7 +8,9 @@ so every mark is its own token.
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Optional, Sequence
+
+import numpy as np
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -231,31 +233,42 @@ def encode(tokens: list[str], vocab: Vocabulary, length: int) -> list[int]:
 
 
 @dataclass
-class EncodedExample:
-    indices: list[int]
-    user_count: int
-    label: int
+class Examples:
+    """An encoded example set, one row per tweet: token indices (N, L),
+    @USER counts (N,) and class positions (N,). `examples[rows]` selects rows
+    by an index array or a slice."""
+
+    indices: np.ndarray
+    user_count: np.ndarray
+    label: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, rows) -> "Examples":
+        return Examples(self.indices[rows], self.user_count[rows], self.label[rows])
 
 
 def encode_records(
-    records: Iterable[TweetRecord], vocab: Vocabulary, task: str, length: int
-) -> list[EncodedExample]:
-    """Encode task-labeled records into fixed-length examples."""
+    records: Sequence[TweetRecord], vocab: Vocabulary, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records' token indices (N, length) and @USER counts (N,)."""
+    indices = [encode(tokenize(r.clean_text), vocab, length) for r in records]
+    user_count = np.array([r.user_count for r in records], dtype=np.float64)
+    return np.array(indices, dtype=np.intp).reshape(len(records), length), user_count
+
+
+def label_indices(records: Iterable[TweetRecord], task: str) -> np.ndarray:
+    """Each record's position of its `task` label in TASK_LABELS[task]."""
     task = _normalize_task(task)
-    label_index = {name: i for i, name in enumerate(TASK_LABELS[task])}
+    names = TASK_LABELS[task]
     out = []
     for r in records:
         label = r.label_for(task)
         if label is None:
             raise CorpusError(f"record {r.id} has no subtask_{task} label")
-        out.append(
-            EncodedExample(
-                indices=encode(tokenize(r.clean_text), vocab, length),
-                user_count=r.user_count,
-                label=label_index[label],
-            )
-        )
-    return out
+        out.append(names.index(label))
+    return np.array(out, dtype=np.intp)
 
 
 def user_count_stats(

@@ -271,6 +271,32 @@ def train_cbow(
     return model
 
 
+def _vector(parts: list[str], dim: int, line_no: int) -> np.ndarray:
+    """The `dim` components of line `line_no`, checked numeric and finite."""
+    if len(parts) != dim:
+        raise ValueError(f"line {line_no}: expected {dim} components, got {len(parts)}")
+    try:
+        vector = np.array([float(x) for x in parts])
+    except ValueError:
+        raise ValueError(f"line {line_no}: non-numeric vector component") from None
+    if not np.isfinite(vector).all():
+        raise ValueError(f"line {line_no}: non-finite vector component")
+    return vector
+
+
+def _add_word(vectors: dict[str, np.ndarray], parts: list[str], dim: int, line_no: int) -> None:
+    """Add the word line `token v1 ... vd`, split into `parts`; a token seen
+    before is an error."""
+    vector = _vector(parts[1:], dim, line_no)
+    if parts[0] in vectors:
+        raise ValueError(f"line {line_no}: repeated token {parts[0]!r}")
+    vectors[parts[0]] = vector
+
+
+def _split_line(line: str) -> list[str]:
+    return line.rstrip(" \n").split(" ")
+
+
 def load_text_embeddings(stream: IO[str]) -> dict[str, np.ndarray]:
     """Parse `token v1 ... vd` lines; the first vector line fixes d.
 
@@ -280,26 +306,14 @@ def load_text_embeddings(stream: IO[str]) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     dim = None
     for line_no, line in enumerate(stream, start=1):
-        parts = line.rstrip(" \n").split(" ")
+        parts = _split_line(line)
         if parts == [""] or (line_no == 1 and len(parts) == 2 and all(p.isdigit() for p in parts)):
             continue
         if dim is None:
             dim = len(parts) - 1
             if dim < 1:
                 raise ValueError(f"line {line_no}: no vector components")
-        elif len(parts) - 1 != dim:
-            raise ValueError(
-                f"line {line_no}: expected {dim} components, got {len(parts) - 1}"
-            )
-        try:
-            vector = np.array([float(x) for x in parts[1:]])
-        except ValueError:
-            raise ValueError(f"line {line_no}: non-numeric vector component") from None
-        if not np.isfinite(vector).all():
-            raise ValueError(f"line {line_no}: non-finite vector component")
-        if parts[0] in vectors:
-            raise ValueError(f"line {line_no}: repeated token {parts[0]!r}")
-        vectors[parts[0]] = vector
+        _add_word(vectors, parts, dim, line_no)
     return vectors
 
 
@@ -353,7 +367,9 @@ def save_fasttext(model: FastTextModel, path) -> None:
 
 
 def load_fasttext(path, cfg: NgramConfig | None = None) -> FastTextModel:
-    """Load a saved model for inference (word_vector / matrix building)."""
+    """Load a saved model for inference (word_vector / matrix building);
+    word and bucket lines get the checks of `load_text_embeddings`, and an
+    error names the path and the line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3:
@@ -362,22 +378,14 @@ def load_fasttext(path, cfg: NgramConfig | None = None) -> FastTextModel:
         cfg = cfg or NgramConfig()
         if buckets != cfg.buckets:
             cfg = NgramConfig(cfg.n_min, cfg.n_max, buckets)
-        tokens = []
-        word_in = np.empty((v, dim))
-        for i in range(v):
-            parts = fh.readline().split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}: word line {i + 2} has wrong arity")
-            tokens.append(parts[0])
-            word_in[i] = [float(x) for x in parts[1:]]
+        words: dict[str, np.ndarray] = {}
         bucket_vecs = np.empty((buckets, dim))
-        for i in range(buckets):
-            parts = fh.readline().split(" ")
-            if len(parts) != dim:
-                raise ValueError(f"{path}: bucket line {v + i + 2} has wrong arity")
-            bucket_vecs[i] = [float(x) for x in parts]
-    for first_line, rows in ((2, word_in), (v + 2, bucket_vecs)):
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if len(bad):
-            raise ValueError(f"{path}: line {first_line + bad[0]}: non-finite vector component")
-    return FastTextModel(tokens, None, dim, cfg, word_in, bucket_vecs, np.zeros((v, dim)))
+        try:
+            for line_no in range(2, v + 2):
+                _add_word(words, _split_line(fh.readline()), dim, line_no)
+            for i in range(buckets):
+                bucket_vecs[i] = _vector(_split_line(fh.readline()), dim, v + i + 2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    word_in = np.array(list(words.values())).reshape(v, dim)
+    return FastTextModel(list(words), None, dim, cfg, word_in, bucket_vecs, np.zeros((v, dim)))

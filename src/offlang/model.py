@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import nn
-from .corpus import EncodedExample
+from .corpus import Examples
 from .metrics import accuracy, confusion, prf_macro
 
 MODEL_MAGIC = b"OFLG1"
@@ -169,13 +169,6 @@ def _init_head(arch: ModelArch, rng: np.random.Generator) -> dict[str, nn.Param]
     return dict(zip(HEAD_NAMES, head))
 
 
-def stack_examples(examples: Sequence[EncodedExample]):
-    idx = np.array([ex.indices for ex in examples], dtype=np.intp)
-    uc = np.array([ex.user_count for ex in examples], dtype=np.float64)
-    y = np.array([ex.label for ex in examples], dtype=np.intp)
-    return idx, uc, y
-
-
 def _forward(params: ModelParams, idx, uc, train: bool, rng, dropout_rate: float):
     arch = params.arch
     if idx.max(initial=0) >= params.embedding.values.shape[0]:
@@ -217,12 +210,9 @@ def _backward(params: ModelParams, dz2: np.ndarray, cache) -> None:
     np.add.at(params.embedding.grad, idx, demb)
 
 
-def predict_proba(params: ModelParams, examples: Sequence[EncodedExample], batch_size: int = 256):
-    idx, uc, _ = stack_examples(examples)
-    return _predict_proba_arrays(params, idx, uc, batch_size)
-
-
 def _predict_proba_arrays(params: ModelParams, idx, uc, batch_size: int = 256):
+    """Class probabilities of token indices `idx` (N, L) and @USER counts
+    `uc` (N,), in forward passes of `batch_size` rows."""
     chunks = []
     for start in range(0, len(idx), batch_size):
         probs, _ = _forward(params, idx[start : start + batch_size], uc[start : start + batch_size],
@@ -238,8 +228,8 @@ def labels_from_probs(probs: np.ndarray) -> np.ndarray:
     return probs.argmax(axis=1)
 
 
-def predict(params: ModelParams, examples: Sequence[EncodedExample]) -> np.ndarray:
-    return labels_from_probs(predict_proba(params, examples))
+def predict(params: ModelParams, indices: np.ndarray, user_count: np.ndarray) -> np.ndarray:
+    return labels_from_probs(_predict_proba_arrays(params, indices, user_count))
 
 
 class EarlyStopper:
@@ -292,8 +282,8 @@ def _loss_and_dz(probs, y_batch, config: TrainConfig, k: int, class_weights):
 
 def train(
     params: ModelParams,
-    train_set: Sequence[EncodedExample],
-    val_set: Sequence[EncodedExample],
+    train_set: Examples,
+    val_set: Examples,
     config: TrainConfig,
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Seeded epochs with per-epoch shuffles; early-stops on validation
@@ -301,8 +291,7 @@ def train(
     if not len(train_set) or not len(val_set):
         raise ModelError("train and validation sets must be non-empty")
     arch = params.arch
-    idx, uc, y = stack_examples(train_set)
-    val_idx, val_uc, val_y = stack_examples(val_set)
+    idx, uc, y = train_set.indices, train_set.user_count, train_set.label
     n_classes = max(arch.output_units, 2)
 
     class_weights = None
@@ -330,10 +319,9 @@ def train(
             nn.adam_step(trainable, state, config.lr, config.weight_decay)
             losses.append(loss)
 
-        val_probs = _predict_proba_arrays(params, val_idx, val_uc)
-        val_pred = labels_from_probs(val_probs)
-        val_acc = accuracy(val_y, val_pred)
-        val_f1 = prf_macro(confusion(val_y, val_pred, n_classes)).macro_f1
+        val_pred = predict(params, val_set.indices, val_set.user_count)
+        val_acc = accuracy(val_set.label, val_pred)
+        val_f1 = prf_macro(confusion(val_set.label, val_pred, n_classes)).macro_f1
         history.append(EpochStats(epoch, float(np.mean(losses)), val_acc, val_f1))
 
         improved, stop = stopper.update(val_acc)

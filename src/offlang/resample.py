@@ -6,11 +6,9 @@ oversamples up to the majority count; values between interpolate linearly.
 
 import math
 from collections import defaultdict
-from typing import Callable, Hashable, Sequence, TypeVar
+from typing import Hashable, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 def target_count(counts: dict[Hashable, int], p_u: float) -> int:
@@ -37,39 +35,30 @@ def class_counts(labels: Sequence[Hashable]) -> dict[Hashable, int]:
     return dict(counts)
 
 
-def rebalance(
-    examples: Sequence[T],
-    p_u: float,
-    seed: int,
-    label_of: Callable[[T], Hashable] = lambda ex: ex.label,
-) -> list[T]:
-    """Resample `examples` so every class has exactly the target count.
+def rebalance(labels: Sequence[Hashable], p_u: float, seed: int) -> np.ndarray:
+    """Row positions that resample `labels` so every class has exactly the
+    target count.
 
     Classes above target are subsampled uniformly without replacement; classes
-    below keep every original once and add uniform-with-replacement
-    duplicates. The result is shuffled deterministically by `seed`.
+    below keep every row once and add uniform-with-replacement duplicates. The
+    positions are shuffled deterministically by `seed`.
     """
     by_class: dict[Hashable, list[int]] = defaultdict(list)
-    for i, ex in enumerate(examples):
-        by_class[label_of(ex)].append(i)
-    counts = {label: len(idx) for label, idx in by_class.items()}
-    target = target_count(counts, p_u)
+    for row, label in enumerate(labels):
+        by_class[label].append(row)
+    target = target_count({label: len(rows) for label, rows in by_class.items()}, p_u)
 
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
+    chosen = []
     for label in sorted(by_class, key=str):
-        idx = np.asarray(by_class[label])
-        n = len(idx)
+        rows = np.asarray(by_class[label])
+        n = len(rows)
         if n > target:
-            chosen.extend(rng.choice(idx, size=target, replace=False).tolist())
+            rows = rng.choice(rows, size=target, replace=False)
         elif n < target:
-            extra = rng.choice(idx, size=target - n, replace=True).tolist()
-            chosen.extend(idx.tolist() + extra)
-        else:
-            chosen.extend(idx.tolist())
-
-    order = rng.permutation(len(chosen))
-    return [examples[chosen[j]] for j in order]
+            rows = np.concatenate([rows, rng.choice(rows, size=target - n, replace=True)])
+        chosen.append(rows)
+    return np.concatenate(chosen)[rng.permutation(target * len(chosen))]
 
 
 def resample_report(

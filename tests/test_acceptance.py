@@ -117,10 +117,11 @@ def test_criterion_5_synthetic_end_to_end():
     matrix = embeddings.build_embedding_matrix(vocab, ft)
 
     arch = model.ModelArch()  # published defaults: L=63, d=100, h=128, F=64
-    examples = [
-        corpus.EncodedExample(corpus.encode(toks, vocab, arch.seq_len), 0, y)
-        for toks, y in zip(token_lists, labels)
-    ]
+    examples = corpus.Examples(
+        np.array([corpus.encode(toks, vocab, arch.seq_len) for toks in token_lists], dtype=np.intp),
+        np.zeros(len(labels)),
+        np.array(labels, dtype=np.intp),
+    )
     params = model.build(arch, matrix, seed=1)
     _, history = model.train(
         params, examples[:1600], examples[1600:],
@@ -151,11 +152,12 @@ def test_criterion_6_olid_reproduction(tmp_path):
 
     arch = model.ModelArch()
     task_records = corpus.filter_task(records, "a")
-    examples = corpus.encode_records(task_records, vocab, "a", arch.seq_len)
+    examples = corpus.Examples(*corpus.encode_records(task_records, vocab, arch.seq_len),
+                               corpus.label_indices(task_records, "a"))
     rng = np.random.default_rng(5)
     by_class = {}
-    for i, ex in enumerate(examples):
-        by_class.setdefault(ex.label, []).append(i)
+    for i, label in enumerate(examples.label.tolist()):
+        by_class.setdefault(label, []).append(i)
     train_idx, val_idx = [], []
     for label in sorted(by_class):
         rows = np.array(by_class[label])
@@ -163,8 +165,9 @@ def test_criterion_6_olid_reproduction(tmp_path):
         n_val = int(round(len(rows) * 0.2))
         val_idx.extend(rows[:n_val])
         train_idx.extend(rows[n_val:])
-    train_set = resample.rebalance([examples[i] for i in train_idx], 0.3, seed=5)
-    val_set = [examples[i] for i in val_idx]
+    train_set = examples[np.array(train_idx)]
+    train_set = train_set[resample.rebalance(train_set.label, 0.3, seed=5)]
+    val_set = examples[np.array(val_idx)]
 
     params = model.build(arch, matrix, seed=5)
     _, history = model.train(params, train_set, val_set,

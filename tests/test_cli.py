@@ -314,3 +314,53 @@ def test_null_scalar_setting_is_named(tmp_path, capsys, command, key):
     assert cli.main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"config key {key} must be int, got None" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, value, kind", [
+    ("tune-pu", "baseline.folds", 2.9, "int"),
+    ("preprocess", "data.seed", "7", "int"),
+    ("preprocess", "data.seed", True, "int"),
+    ("train", "model.hidden", 6.5, "int"),
+])
+def test_scalar_setting_must_have_its_default_type(tmp_path, capsys, command, key, value, kind):
+    config, _ = write_config(tmp_path, **{key: value})
+    assert cli.main([command, "--config", str(config)]) == 1
+    assert f"config key {key} must be {kind}, got {value!r}" in capsys.readouterr().err
+
+
+def test_int_setting_reads_as_float():
+    train = cli._section({"model": {"lr": 1}}, "model", model.TrainConfig)
+    assert train.lr == 1.0 and type(train.lr) is float
+
+
+def test_prediction_ids_with_commas_and_quotes_round_trip(tmp_path, capsys):
+    odd_id = 'id,"one"'
+    (tmp_path / "test.tsv").write_text(OLID_FIXTURE.replace("\n1\t", f"\n{odd_id}\t"), encoding="utf-8")
+    config, out = write_config(tmp_path, **{"data.test_path": str(tmp_path / "test.tsv")})
+    assert cli.main(["train", "--config", str(config)]) == 0
+    pred_config, pred_out = write_config(tmp_path, out_name="pred", **{
+        "data.test_path": str(tmp_path / "test.tsv"),
+        "predict.model": str(out / "model.bin"), "predict.vocab": str(out / "vocab.txt")})
+    assert cli.main(["predict", "--config", str(pred_config)]) == 0
+    lines = (pred_out / "predictions.csv").read_text().splitlines()
+    assert lines[1].startswith('"id,""one""",') and lines[2] in ("2,NOT", "2,OFF")
+    eval_config, _ = write_config(tmp_path, out_name="eval", **{
+        "data.test_path": str(tmp_path / "test.tsv"),
+        "evaluate.predictions": str(pred_out / "predictions.csv")})
+    assert cli.main(["evaluate", "--config", str(eval_config)]) == 0
+
+
+def test_resample_report_and_tune_pu_outputs_pinned(tmp_path, capsys):
+    # neither output goes through BLAS, so these bytes are the same on every machine
+    config, out = write_config(
+        tmp_path, **{"baseline.grid": [0.0, 0.5, 1.0], "baseline.folds": 2, "baseline.n_trees": 3}
+    )
+    assert cli.main(["resample-report", "--config", str(config), "--task", "b"]) == 0
+    assert (out / "resample_report.tsv").read_text() == "class\tbefore\tafter\nTIN\t8\t6\nUNT\t3\t6\n"
+    assert cli.main(["tune-pu", "--config", str(config), "--task", "a"]) == 0
+    assert (out / "pu_report.csv").read_text() == (
+        "p_u,fold0,fold1,mean_macro_f1\n"
+        "0.0,0.285714,0.670330,0.478022\n"
+        "0.5,0.375000,0.670330,0.522665\n"
+        "1.0,0.600000,0.411765,0.505882\n"
+    )

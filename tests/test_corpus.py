@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +12,9 @@ from offlang.corpus import (
     build_vocab,
     clean,
     encode,
+    encode_records,
     filter_task,
+    label_indices,
     parse_olid,
     tokenize,
     user_count_stats,
@@ -174,6 +177,31 @@ class TestEncode:
         out = encode(tokenize(clean(raw)[0]), vocab, 9)
         assert len(out) == 9
         assert all(0 <= i < vocab.size for i in out)
+
+
+class TestExamples:
+    def test_encode_records_and_label_indices(self, olid_records):
+        records = filter_task(olid_records, "c")
+        vocab = build_vocab(tokenize(r.clean_text) for r in records)
+        examples = corpus.Examples(*encode_records(records, vocab, 6), label_indices(records, "c"))
+        assert len(examples) == 8
+        assert (examples.indices.dtype, examples.user_count.dtype, examples.label.dtype) == (
+            np.intp, np.float64, np.intp)
+        assert examples.indices[0].tolist() == encode(tokenize(records[0].clean_text), vocab, 6)
+        assert examples.user_count.tolist() == [r.user_count for r in records]
+        assert examples.label.tolist() == [("IND", "GRP", "OTH").index(r.label_c) for r in records]
+
+    def test_rows_select_every_field(self, olid_records):
+        records = filter_task(olid_records, "b")
+        examples = corpus.Examples(*encode_records(records, build_vocab([]), 4), label_indices(records, "b"))
+        picked = examples[np.array([3, 0, 3])]
+        assert len(picked) == 3 and len(examples[2:5]) == 3
+        for field in ("indices", "user_count", "label"):
+            assert np.array_equal(getattr(picked, field), getattr(examples, field)[[3, 0, 3]])
+
+    def test_missing_label_names_the_record(self, olid_records):
+        with pytest.raises(CorpusError, match="record 2 has no subtask_b label"):
+            label_indices(olid_records, "b")
 
 
 class TestFilterTask:

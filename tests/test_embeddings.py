@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 import string
 
 import numpy as np
@@ -261,6 +262,24 @@ class TestSaveLoad:
         save_fasttext(m, tmp_path / "ft.txt")
         with pytest.raises(ValueError, match="line 5: non-finite"):
             load_fasttext(tmp_path / "ft.txt")
+
+    def test_repeated_token_names_path_and_line(self, tmp_path):
+        m = FastTextModel.init(["x", "y"], np.array([1.0, 1.0]), 3, NgramConfig(buckets=5), seed=0)
+        path = tmp_path / "ft.txt"
+        save_fasttext(m, path)
+        path.write_text(path.read_text().replace("\ny ", "\nx "))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: repeated token 'x'")):
+            load_fasttext(path)
+
+    def test_non_numeric_component_names_path_and_line(self, tmp_path):
+        m = FastTextModel.init(["x", "y"], np.array([1.0, 1.0]), 3, NgramConfig(buckets=5), seed=0)
+        path = tmp_path / "ft.txt"
+        save_fasttext(m, path)
+        lines = path.read_text().splitlines()
+        lines[2] = "y x 0 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: non-numeric vector component")):
+            load_fasttext(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         m = FastTextModel.init(["x"], np.array([1.0]), 3, NgramConfig(buckets=5), seed=0)

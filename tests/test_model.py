@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from offlang import corpus, model, nn
-from offlang.corpus import EncodedExample
+from offlang.corpus import Examples
 from offlang.gradcheck import max_rel_error, numeric_gradient
 from offlang.model import (
     EarlyStopper,
@@ -34,16 +35,24 @@ def small_params(arch=SMALL, vocab_size=12, seed=0):
     return build(arch, matrix, seed=seed)
 
 
+def as_examples(rows):
+    """Examples from (indices, user_count, label) rows."""
+    indices, user_count, label = zip(*rows)
+    return Examples(np.array(indices, dtype=np.intp), np.array(user_count, dtype=np.float64),
+                    np.array(label, dtype=np.intp))
+
+
 def random_examples(arch, vocab_size, n, seed=0, k=1):
     rng = np.random.default_rng(seed)
-    return [
-        EncodedExample(
-            indices=list(rng.integers(0, vocab_size, size=arch.seq_len)),
-            user_count=int(rng.integers(0, 6)),
-            label=int(rng.integers(0, k if k > 1 else 2)),
-        )
+    return as_examples(
+        (rng.integers(0, vocab_size, size=arch.seq_len), int(rng.integers(0, 6)),
+         int(rng.integers(0, k if k > 1 else 2)))
         for _ in range(n)
-    ]
+    )
+
+
+def proba(params, examples):
+    return model._predict_proba_arrays(params, examples.indices, examples.user_count)
 
 
 class TestBuild:
@@ -77,14 +86,14 @@ class TestBuild:
 class TestForward:
     def test_sigmoid_output_in_open_interval(self):
         params = small_params()
-        probs = model.predict_proba(params, random_examples(SMALL, 12, 9))
+        probs = proba(params, random_examples(SMALL, 12, 9))
         assert probs.shape == (9,)
         assert ((probs > 0) & (probs < 1)).all()
 
     def test_softmax_rows_sum_to_one(self):
         arch = ModelArch(seq_len=10, embed_dim=8, hidden=6, filters=4, ffnn_hidden=4, output_units=3)
         params = small_params(arch)
-        probs = model.predict_proba(params, random_examples(arch, 12, 5, k=3))
+        probs = proba(params, random_examples(arch, 12, 5, k=3))
         assert probs.shape == (5, 3)
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -92,34 +101,34 @@ class TestForward:
         params = small_params()
         for p in params.all_params()[1:]:  # everything but the embedding
             p.values[...] = 0.0
-        ex = [EncodedExample([0] * SMALL.seq_len, 0, 0)]
-        assert model.predict_proba(params, ex)[0] == 0.5
+        ex = as_examples([([0] * SMALL.seq_len, 0, 0)])
+        assert proba(params, ex)[0] == 0.5
 
     def test_user_count_ignored_when_flag_off(self):
         params = small_params()
         base = random_examples(SMALL, 12, 4)
-        bumped = [EncodedExample(ex.indices, ex.user_count + 7, ex.label) for ex in base]
-        assert np.array_equal(model.predict_proba(params, base), model.predict_proba(params, bumped))
+        bumped = dataclasses.replace(base, user_count=base.user_count + 7)
+        assert np.array_equal(proba(params, base), proba(params, bumped))
 
     def test_user_count_used_when_flag_on(self):
         arch = ModelArch(seq_len=10, embed_dim=8, hidden=6, filters=4, ffnn_hidden=4,
                          use_user_count=True)
         params = small_params(arch)
         base = random_examples(arch, 12, 4)
-        bumped = [EncodedExample(ex.indices, ex.user_count + 7, ex.label) for ex in base]
-        assert not np.array_equal(model.predict_proba(params, base), model.predict_proba(params, bumped))
+        bumped = dataclasses.replace(base, user_count=base.user_count + 7)
+        assert not np.array_equal(proba(params, base), proba(params, bumped))
 
     def test_index_out_of_range(self):
         params = small_params(vocab_size=12)
         with pytest.raises(ModelError):
-            model.predict_proba(params, [EncodedExample([12] * SMALL.seq_len, 0, 0)])
+            proba(params, as_examples([([12] * SMALL.seq_len, 0, 0)]))
 
     def test_full_backward_matches_finite_differences(self):
         arch = ModelArch(seq_len=6, embed_dim=5, hidden=4, filters=3, ffnn_hidden=3,
                          use_user_count=True)
         params = small_params(arch, vocab_size=9, seed=3)
         examples = random_examples(arch, 9, 4, seed=2)
-        idx, uc, y = model.stack_examples(examples)
+        idx, uc, y = examples.indices, examples.user_count, examples.label
 
         def loss():
             probs, _ = model._forward(params, idx, uc, False, None, 0.0)
@@ -164,10 +173,8 @@ class TestTrain:
         texts, labels = make_keyword_dataset(n, seed=seed)
         vocab = corpus.build_vocab([t.split() for t in texts])
         arch = ModelArch(seq_len=12, embed_dim=16, hidden=12, filters=8, ffnn_hidden=6)
-        examples = [
-            EncodedExample(corpus.encode(t.split(), vocab, arch.seq_len), 0, y)
-            for t, y in zip(texts, labels)
-        ]
+        examples = as_examples((corpus.encode(t.split(), vocab, arch.seq_len), 0, y)
+                               for t, y in zip(texts, labels))
         matrix = np.random.default_rng(0).normal(0, 0.1, size=(vocab.size, arch.embed_dim))
         return arch, matrix, examples
 
@@ -179,8 +186,8 @@ class TestTrain:
         assert len(history) <= 3
         assert all(h.epoch == i + 1 for i, h in enumerate(history))
         best_epoch = max(history, key=lambda h: h.val_accuracy)
-        probs = model.predict_proba(best, examples[320:])
-        acc = float(((probs >= 0.5).astype(int) == np.array([e.label for e in examples[320:]])).mean())
+        probs = proba(best, examples[320:])
+        acc = float(((probs >= 0.5).astype(int) == examples[320:].label).mean())
         assert acc == pytest.approx(best_epoch.val_accuracy, abs=1e-12)
 
     def test_non_finite_loss_raises(self):
@@ -202,7 +209,7 @@ class TestTrain:
         wins = 0
         for seed in range(10):
             params = build(arch, matrix, seed=seed)
-            idx, uc, y = model.stack_examples(batch)
+            idx, uc, y = batch.indices, batch.user_count, batch.label
             first = None
             state = nn.init_adam(params.all_params())
             for _ in range(10):
@@ -242,7 +249,7 @@ class TestTrain:
         arch, matrix, examples = self._dataset(n=40)
         params = build(arch, matrix, seed=0)
         with pytest.raises(ModelError):
-            train(params, [], examples, TrainConfig())
+            train(params, examples[:0], examples, TrainConfig())
 
 
 class TestTransfer:
@@ -277,7 +284,7 @@ class TestSaveLoad:
         loaded, vocab_hash = load_model(path)
         assert vocab_hash == "hash123"
         examples = random_examples(SMALL, 12, 5, seed=1)
-        assert np.array_equal(model.predict_proba(params, examples), model.predict_proba(loaded, examples))
+        assert np.array_equal(proba(params, examples), proba(loaded, examples))
 
     def test_vocab_hash_mismatch(self, tmp_path):
         params = small_params()

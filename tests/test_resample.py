@@ -13,6 +13,10 @@ class Ex:
     label: str
 
 
+def resampled(examples: list[Ex], p_u: float, seed: int) -> list[Ex]:
+    return [examples[row] for row in rebalance([ex.label for ex in examples], p_u, seed)]
+
+
 def make_examples(sizes: dict[str, int]) -> list[Ex]:
     out = []
     key = 0
@@ -59,7 +63,7 @@ class TestTargetCount:
 class TestRebalance:
     def test_undersample_is_subset_without_duplicates(self):
         examples = make_examples({"X": 10, "Y": 4})
-        out = rebalance(examples, 1.0, seed=0)
+        out = resampled(examples, 1.0, seed=0)
         counts = Counter(ex.label for ex in out)
         assert counts == {"X": 4, "Y": 4}
         assert len(set(out)) == len(out)
@@ -67,19 +71,25 @@ class TestRebalance:
 
     def test_oversample_keeps_all_originals(self):
         examples = make_examples({"X": 10, "Y": 4})
-        out = rebalance(examples, 0.0, seed=0)
+        out = resampled(examples, 0.0, seed=0)
         counts = Counter(ex.label for ex in out)
         assert counts == {"X": 10, "Y": 10}
         assert set(examples) <= set(out)
 
     def test_deterministic(self):
         examples = make_examples({"X": 7, "Y": 3, "Z": 5})
-        assert rebalance(examples, 0.4, seed=11) == rebalance(examples, 0.4, seed=11)
+        assert resampled(examples, 0.4, seed=11) == resampled(examples, 0.4, seed=11)
 
     def test_shuffled_output(self):
         examples = make_examples({"X": 30, "Y": 30})
-        out = rebalance(examples, 0.5, seed=3)
+        out = resampled(examples, 0.5, seed=3)
         assert out != sorted(out, key=lambda ex: ex.key)
+
+    def test_row_positions_pinned(self):
+        # a change here means the rng draws or their order changed, and every
+        # resampled artifact with them
+        labels = ["X"] * 5 + ["Y"] * 2 + ["Z"] * 3
+        assert rebalance(labels, 0.5, seed=7).tolist() == [7, 4, 8, 3, 9, 2, 7, 6, 5, 1, 5, 5]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -93,7 +103,7 @@ class TestRebalance:
     )
     def test_all_classes_equal(self, sizes, p_u, seed):
         examples = make_examples(sizes)
-        out = rebalance(examples, p_u, seed)
+        out = resampled(examples, p_u, seed)
         counts = Counter(ex.label for ex in out)
         target = target_count(sizes, p_u)
         assert all(c == target for c in counts.values())
@@ -103,5 +113,5 @@ class TestRebalance:
 def test_class_counts_and_report():
     examples = make_examples({"X": 2, "Y": 5})
     before = class_counts([ex.label for ex in examples])
-    after = class_counts([ex.label for ex in rebalance(examples, 1.0, seed=0)])
+    after = class_counts([ex.label for ex in resampled(examples, 1.0, seed=0)])
     assert resample_report(before, after) == [("X", 2, 2), ("Y", 5, 2)]
