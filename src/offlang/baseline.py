@@ -97,18 +97,11 @@ def _grow_tree(X, y, rng: np.random.Generator, max_features: int, n_classes: int
 class ForestModel:
     trees: list[TreeNode]
     n_classes: int
-    max_features: int
-    seed: int
 
 
-def train_forest(
-    X: np.ndarray,
-    y: Sequence[int],
-    n_trees: int = 100,
-    max_features: Optional[int] = None,
-    seed: int = 0,
-) -> ForestModel:
-    """Bootstrap-aggregated Gini trees grown until pure or < 2 samples.
+def train_forest(X: np.ndarray, y: Sequence[int], n_trees: int, seed: int) -> ForestModel:
+    """Bootstrap-aggregated Gini trees grown until pure or < 2 samples; each
+    split samples isqrt(features) candidate features.
 
     Each tree draws its bootstrap and feature samples from its own child of
     the master seed.
@@ -118,16 +111,14 @@ def train_forest(
     if X.shape[0] == 0 or y.shape[0] != X.shape[0]:
         raise ValueError("need a non-empty matrix with one label per row")
     n_classes = int(y.max()) + 1
-    if max_features is None:
-        max_features = max(1, int(math.isqrt(X.shape[1])))
-    max_features = min(max_features, X.shape[1])
+    max_features = math.isqrt(X.shape[1])
 
     trees = []
     for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
         trees.append(_grow_tree(X[rows], y[rows], rng, max_features, n_classes))
-    return ForestModel(trees=trees, n_classes=n_classes, max_features=max_features, seed=seed)
+    return ForestModel(trees=trees, n_classes=n_classes)
 
 
 def _tree_predict(node: TreeNode, row: np.ndarray) -> int:
@@ -161,10 +152,10 @@ class PuCandidate:
 def cv_select_pu(
     X: np.ndarray,
     y: Sequence[int],
-    grid: Sequence[float] = tuple(round(0.1 * i, 1) for i in range(11)),
-    folds: int = 5,
-    n_trees: int = 100,
-    seed: int = 0,
+    grid: Sequence[float],
+    folds: int,
+    n_trees: int,
+    seed: int,
 ) -> tuple[float, list[PuCandidate]]:
     """Pick the resampling fraction by k-fold CV of the random forest.
 

@@ -60,6 +60,8 @@ class Run:
         task = self.args.task or cfg(self.config, "data.task", None)
         if task is None:
             raise ConfigError("task not given: pass --task or set data.task")
+        if not isinstance(task, str) or task.lower() not in corpus.TASK_LABELS:
+            raise ConfigError(f"data.task must be one of {', '.join(corpus.TASK_LABELS)}, got {task!r}")
         return task.lower()
 
     def records(self, key: str = "data.train_path") -> list[corpus.TweetRecord]:
@@ -105,10 +107,6 @@ def _scalar(config: dict, dotted: str, default):
     return kind(value)
 
 
-# config keys named differently from the dataclass fields they set
-_KEYS = {"n_min": "min_ngram", "n_max": "max_ngram"}
-
-
 def _section(config: dict, name: str, cls, **fixed):
     """`cls` from config section `name`: each field the section sets, read
     by `_scalar` against the field's default, plus the `fixed` fields. The
@@ -118,10 +116,8 @@ def _section(config: dict, name: str, cls, **fixed):
         raise ConfigError(f"config key {name!r} must be an object")
     values = dict(fixed)
     for f in fields(cls):
-        key = _KEYS.get(f.name, f.name)
-        if f.name in fixed or key not in section:
-            continue
-        values[f.name] = _scalar(config, f"{name}.{key}", f.default)
+        if f.name not in fixed and f.name in section:
+            values[f.name] = _scalar(config, f"{name}.{f.name}", f.default)
     return cls(**values)
 
 

@@ -183,9 +183,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.index_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
-
     def index(self, token: str) -> int:
         return self.token_to_index.get(token, UNK_INDEX)
 

@@ -4,7 +4,7 @@ embeddings and the embedding-matrix builder that seeds the classifier.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -27,22 +27,22 @@ def fnv1a_32(data: bytes) -> int:
 
 @dataclass
 class NgramConfig:
-    n_min: int = 3
-    n_max: int = 6
+    min_ngram: int = 3
+    max_ngram: int = 6
     buckets: int = 100_000
 
     def __post_init__(self):
-        if not 1 <= self.n_min <= self.n_max:
-            raise ValueError(f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
+        if not 1 <= self.min_ngram <= self.max_ngram:
+            raise ValueError(f"need 1 <= min_ngram <= max_ngram, got [{self.min_ngram}, {self.max_ngram}]")
         if self.buckets < 1:
             raise ValueError("bucket count must be >= 1")
 
 
 def ngram_strings(word: str, cfg: NgramConfig) -> list[str]:
-    """All character n-grams of '<word>' with n_min <= n <= n_max."""
+    """All character n-grams of '<word>' with min_ngram <= n <= max_ngram."""
     wrapped = f"<{word}>"
     grams = []
-    for n in range(cfg.n_min, min(cfg.n_max, len(wrapped)) + 1):
+    for n in range(cfg.min_ngram, min(cfg.max_ngram, len(wrapped)) + 1):
         for i in range(len(wrapped) - n + 1):
             grams.append(wrapped[i : i + n])
     return grams
@@ -80,7 +80,6 @@ class FastTextModel:
     def __init__(
         self,
         tokens: list[str],
-        counts: np.ndarray | None,
         dim: int,
         cfg: NgramConfig,
         word_in: np.ndarray,
@@ -89,7 +88,6 @@ class FastTextModel:
     ):
         self.tokens = tokens
         self.token_to_id = {t: i for i, t in enumerate(tokens)}
-        self.counts = counts
         self.dim = dim
         self.cfg = cfg
         self.word_in = word_in
@@ -102,16 +100,13 @@ class FastTextModel:
         ]
 
     @classmethod
-    def init(cls, tokens, counts, dim, cfg, seed) -> "FastTextModel":
+    def init(cls, tokens, dim, cfg, seed) -> "FastTextModel":
         rng = np.random.default_rng(seed)
         scale = 0.5 / dim
         word_in = rng.uniform(-scale, scale, size=(len(tokens), dim))
         bucket_vecs = rng.uniform(-scale, scale, size=(cfg.buckets, dim))
         word_out = np.zeros((len(tokens), dim))
-        return cls(tokens, counts, dim, cfg, word_in, bucket_vecs, word_out)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.token_to_id
+        return cls(tokens, dim, cfg, word_in, bucket_vecs, word_out)
 
     def _rows(self, ids: np.ndarray) -> np.ndarray:
         v = len(self.tokens)
@@ -227,7 +222,7 @@ def train_cbow(
 
     counts_arr = np.array(counts, dtype=float)
     total = int(counts_arr.sum())
-    model = FastTextModel.init(tokens, counts_arr, dim=dim, cfg=cfg, seed=params.seed)
+    model = FastTextModel.init(tokens, dim=dim, cfg=cfg, seed=params.seed)
 
     keep_prob = np.array(
         [_keep_probability(int(c), total, params.subsample) for c in counts_arr]
@@ -372,20 +367,20 @@ def load_fasttext(path, cfg: NgramConfig | None = None) -> FastTextModel:
     error names the path and the line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed fasttext header")
+        if len(header) != 3 or not all(x.isdecimal() for x in header):
+            raise ValueError(f"{path}: fasttext header {' '.join(header)!r} is not three non-negative integers V B d")
         v, buckets, dim = (int(x) for x in header)
-        cfg = cfg or NgramConfig()
-        if buckets != cfg.buckets:
-            cfg = NgramConfig(cfg.n_min, cfg.n_max, buckets)
         words: dict[str, np.ndarray] = {}
-        bucket_vecs = np.empty((buckets, dim))
         try:
+            cfg = replace(cfg or NgramConfig(), buckets=buckets)
             for line_no in range(2, v + 2):
                 _add_word(words, _split_line(fh.readline()), dim, line_no)
-            for i in range(buckets):
-                bucket_vecs[i] = _vector(_split_line(fh.readline()), dim, v + i + 2)
+            # rows are collected, not preallocated from the header's B and d,
+            # so a header that claims more rows than the file holds fails at
+            # the file's end instead of in one huge allocation
+            rows = [_vector(_split_line(fh.readline()), dim, line_no) for line_no in range(v + 2, v + buckets + 2)]
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     word_in = np.array(list(words.values())).reshape(v, dim)
-    return FastTextModel(list(words), None, dim, cfg, word_in, bucket_vecs, np.zeros((v, dim)))
+    bucket_vecs = np.array(rows).reshape(buckets, dim)
+    return FastTextModel(list(words), dim, cfg, word_in, bucket_vecs, np.zeros((v, dim)))

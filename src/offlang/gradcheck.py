@@ -23,19 +23,20 @@ from .embeddings import cbow_pair_loss
 FD_STEP = 1e-5
 
 
-def numeric_gradient(f: Callable[[], float], x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """Central differences of scalar f() with respect to array x (in place)."""
+def numeric_gradient(f: Callable[[], float], x: np.ndarray) -> np.ndarray:
+    """Central differences (step FD_STEP) of scalar f() with respect to array
+    x, perturbed in place."""
     grad = np.zeros_like(x)
     flat = x.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return grad
 
 
@@ -210,12 +211,13 @@ ALL_CHECKS: list[tuple[str, Callable[[int], float]]] = [
 ]
 
 
-def run_all(n_seeds: int = 20, tolerance: float = 1e-4, seed0: int = 0) -> list[CheckResult]:
-    """Every differentiable operation against finite differences, per seed."""
+def run_all(n_seeds: int, tolerance: float) -> list[CheckResult]:
+    """Every differentiable operation against finite differences, on seeds
+    0 .. n_seeds-1."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     results = []
     for name, fn in ALL_CHECKS:
-        worst = max(fn(seed0 + s) for s in range(n_seeds))
+        worst = max(fn(seed) for seed in range(n_seeds))
         results.append(CheckResult(name=name, max_error=worst, tolerance=tolerance))
     return results

@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 JITTER = 1e-8
+N_CANDIDATES = 1000  # seeded random points over which EI is maximized each round
 _LENGTHSCALE_GRID = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0)
 
 
@@ -123,20 +124,12 @@ class GpSurrogate:
 
 
 def gp_fit(X: np.ndarray, y: np.ndarray) -> GpSurrogate:
-    """Fit the surrogate, picking lengthscales by log marginal likelihood.
-
-    The grid is per-dimension for 1-2 dims and a shared scale above that.
-    """
+    """Fit the surrogate, picking per-dimension lengthscales from a grid by
+    log marginal likelihood."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one observation")
-    dims = X.shape[1]
-    if dims <= 2:
-        grids = np.stack(
-            [g.ravel() for g in np.meshgrid(*([_LENGTHSCALE_GRID] * dims))], axis=1
-        )
-    else:
-        grids = np.array([[ls] * dims for ls in _LENGTHSCALE_GRID])
+    grids = np.stack([g.ravel() for g in np.meshgrid(*([_LENGTHSCALE_GRID] * X.shape[1]))], axis=1)
     best = None
     for lengthscales in grids:
         gp = GpSurrogate(X, y, lengthscales)
@@ -187,10 +180,9 @@ class BoResult:
 def bo_loop(
     objective: Callable[[dict[str, float]], float],
     space: SearchSpace,
-    n_init: int = 3,
-    n_iter: int = 10,
-    seed: int = 0,
-    n_candidates: int = 1000,
+    n_init: int,
+    n_iter: int,
+    seed: int,
 ) -> BoResult:
     """Seeded quasi-random init, then fit -> maximize EI -> evaluate rounds.
 
@@ -226,7 +218,7 @@ def bo_loop(
         y_fit = np.array([v if math.isfinite(v) else worst for v in ys])
         gp = gp_fit(np.array(X_unit), y_fit)
 
-        candidates = rng.random((n_candidates, dims))
+        candidates = rng.random((N_CANDIDATES, dims))
         mean, var = gp.posterior(candidates)
         best_finite = min(finite) if finite else worst
         ei = expected_improvement(mean, var, best_finite)

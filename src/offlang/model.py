@@ -4,9 +4,11 @@ transfer to the other tasks, and a binary serialization format.
 """
 
 import json
+import math
+import os
 import struct
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -15,6 +17,7 @@ from .corpus import Examples
 from .metrics import accuracy, confusion, prf_macro
 
 MODEL_MAGIC = b"OFLG1"
+PREDICT_BATCH = 256  # rows per inference forward pass
 
 
 class ModelError(ValueError):
@@ -93,9 +96,6 @@ class ModelParams:
         """View of the "fwd" or "bwd" LSTM tensors; grads land in this model."""
         return nn.LstmParams(*(self.tensors[f"lstm_{direction}_{part}"] for part in ("wx", "wh", "b")))
 
-    def trunk_params(self) -> list[nn.Param]:
-        return [self.tensors[name] for name in TRUNK_NAMES]
-
     def head_params(self) -> list[nn.Param]:
         return [self.tensors[name] for name in HEAD_NAMES]
 
@@ -139,10 +139,6 @@ def layer_param_counts(arch: ModelArch, vocab_size: int) -> list[tuple[str, tupl
     ]
 
 
-def total_param_count(arch: ModelArch, vocab_size: int) -> int:
-    return sum(count for _, _, count in layer_param_counts(arch, vocab_size))
-
-
 def build(arch: ModelArch, embedding_matrix: np.ndarray, seed: int) -> ModelParams:
     """Initialize all tensors: embedding from the given matrix, Glorot-uniform
     weights elsewhere, zero biases except the LSTM forget gates (= 1)."""
@@ -179,9 +175,7 @@ def _forward(params: ModelParams, idx, uc, train: bool, rng, dropout_rate: float
     conv, conv_cache = nn.conv1d_forward(bi, params.conv_kernel, params.conv_bias)
     mx, mx_cache = nn.global_max_pool_forward(conv)
     av, av_shape = nn.global_avg_pool_forward(conv)
-    feat = nn.concat(mx, av)
-    if arch.use_user_count:
-        feat = np.concatenate([feat, uc[:, None] / 10.0], axis=1)
+    feat = np.concatenate([mx, av, uc[:, None] / 10.0] if arch.use_user_count else [mx, av], axis=1)
     z1, d1_cache = nn.dense_forward(feat, params.dense1_w, params.dense1_b)
     a1 = nn.relu(z1)
     z2, d2_cache = nn.dense_forward(a1, params.out_w, params.out_b)
@@ -210,13 +204,13 @@ def _backward(params: ModelParams, dz2: np.ndarray, cache) -> None:
     np.add.at(params.embedding.grad, idx, demb)
 
 
-def _predict_proba_arrays(params: ModelParams, idx, uc, batch_size: int = 256):
+def _predict_proba_arrays(params: ModelParams, idx, uc):
     """Class probabilities of token indices `idx` (N, L) and @USER counts
-    `uc` (N,), in forward passes of `batch_size` rows."""
+    `uc` (N,), in forward passes of PREDICT_BATCH rows."""
     chunks = []
-    for start in range(0, len(idx), batch_size):
-        probs, _ = _forward(params, idx[start : start + batch_size], uc[start : start + batch_size],
-                            train=False, rng=None, dropout_rate=0.0)
+    for start in range(0, len(idx), PREDICT_BATCH):
+        rows = slice(start, start + PREDICT_BATCH)
+        probs, _ = _forward(params, idx[rows], uc[rows], train=False, rng=None, dropout_rate=0.0)
         chunks.append(probs)
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
@@ -372,43 +366,58 @@ def save_model(params: ModelParams, vocab_hash: str, path) -> None:
             fh.write(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
 
 
-def load_model(path, expected_vocab_hash: Optional[str] = None) -> tuple[ModelParams, str]:
-    """Read a saved model; errors on a malformed header, truncation, trailing
-    bytes, tensors that do not fit the arch, or a vocabulary hash mismatch."""
+def _shape(value) -> tuple[int, ...]:
+    """A manifest shape, which must be a list of non-negative ints."""
+    if not isinstance(value, list) or not all(type(d) is int and d >= 0 for d in value):
+        raise ValueError(f"shape {value!r} is not a list of non-negative ints")
+    return tuple(value)
+
+
+def _arch(values: dict) -> ModelArch:
+    """The header's arch; each field must have its default's type, so a bool
+    is never read as an int."""
+    arch = ModelArch(**values)
+    for f in fields(ModelArch):
+        if type(getattr(arch, f.name)) is not type(f.default):
+            raise TypeError(f"arch field {f.name} must be {type(f.default).__name__}, got {getattr(arch, f.name)!r}")
+    return arch
+
+
+def load_model(path, expected_vocab_hash: str) -> tuple[ModelParams, str]:
+    """Read a saved model; errors on a malformed header, a length or shape
+    that does not fit the bytes left in the file, trailing bytes, tensors
+    that do not fit the arch, or a vocabulary hash mismatch."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            if n > size - fh.tell():
+                raise ModelError(f"{path}: truncated model file")
+            return fh.read(n)
+
+        if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
             raise ModelError(f"{path}: not a model file (bad magic)")
-        raw_len = fh.read(8)
-        if len(raw_len) != 8:
-            raise ModelError(f"{path}: truncated model file")
-        (header_len,) = struct.unpack("<Q", raw_len)
-        blob = fh.read(header_len)
-        if len(blob) != header_len:
-            raise ModelError(f"{path}: truncated model file")
+        (header_len,) = struct.unpack("<Q", read(8))
+        blob = read(header_len)
         try:
             header = json.loads(blob.decode("utf-8"))
             vocab_hash = header["vocab_hash"]
-            arch = ModelArch(**header["arch"])
-            manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+            if not isinstance(vocab_hash, str):
+                raise TypeError(f"vocab_hash {vocab_hash!r} is not a string")
+            arch = _arch(header["arch"])
+            manifest = [(entry["name"], _shape(entry["shape"])) for entry in header["tensors"]]
+            if sorted(name for name, _ in manifest) != sorted(TENSOR_NAMES):
+                raise ValueError("unexpected tensor manifest")
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"{path}: malformed model header: {exc!r}") from None
 
-        if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
+        if vocab_hash != expected_vocab_hash:
             raise ModelError(
                 f"{path}: vocabulary hash mismatch (model {vocab_hash[:12]}…, "
                 f"expected {expected_vocab_hash[:12]}…)"
             )
-        if sorted(name for name, _ in manifest) != sorted(TENSOR_NAMES):
-            raise ModelError(f"{path}: unexpected tensor manifest")
-
-        arrays = {}
-        for name, shape in manifest:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ModelError(f"{path}: truncated model file")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        arrays = {name: np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+                  for name, shape in manifest}
         if fh.read(1):
             raise ModelError(f"{path}: trailing bytes after tensor payload")
 

@@ -7,11 +7,15 @@ backward is derived by hand and checked against finite differences.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 EPS_PROB = 1e-7  # probability clamp, mirrors the output-layer epsilon
+# Adam's moment decay rates and denominator epsilon (Keras defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-7
 
 
 class Param:
@@ -62,15 +66,16 @@ def sigmoid_backward(dy: np.ndarray, s: np.ndarray) -> np.ndarray:
     return dy * s * (1.0 - s)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_backward(dy: np.ndarray, p: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax_backward(dy: np.ndarray, p: np.ndarray) -> np.ndarray:
     # p is the softmax output
-    return p * (dy - (dy * p).sum(axis=axis, keepdims=True))
+    return p * (dy - (dy * p).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def spatial_dropout_forward(
     """Channel dropout with one mask shared across all timesteps.
 
     Kept channels are scaled by 1/(1-rate); evaluation mode is the identity.
-    Input is (B, T, C) or (T, C).
+    Input is (B, T, C); each example draws its own mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -217,9 +222,7 @@ def spatial_dropout_forward(
         return xs, None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    channels = xs.shape[-1]
-    mask_shape = (xs.shape[0], 1, channels) if xs.ndim == 3 else (1, channels)
-    mask = (rng.random(mask_shape) >= rate) / (1.0 - rate)
+    mask = (rng.random((xs.shape[0], 1, xs.shape[2])) >= rate) / (1.0 - rate)
     return xs * mask, mask
 
 
@@ -284,10 +287,6 @@ def global_avg_pool_forward(xs: np.ndarray):
 def global_avg_pool_backward(dy: np.ndarray, shape) -> np.ndarray:
     B, T, C = shape
     return np.broadcast_to(dy[:, None, :] / T, shape).copy()
-
-
-def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, b], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +385,13 @@ def balanced_class_weights(labels: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: list  # first moments, one array per parameter
+    v: list  # second moments
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
 
 def init_adam(params: list[Param]) -> AdamState:
-    state = AdamState()
-    state.m = [np.zeros_like(p.values) for p in params]
-    state.v = [np.zeros_like(p.values) for p in params]
-    return state
+    return AdamState([np.zeros_like(p.values) for p in params], [np.zeros_like(p.values) for p in params])
 
 
 def adam_step(
@@ -406,15 +399,14 @@ def adam_step(
 ) -> None:
     """Bias-corrected moment update; weight decay enters the gradient (L2)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for p, m, v in zip(params, state.m, state.v):
         g = p.grad
         if weight_decay:
             g = g + weight_decay * p.values
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.values -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -184,8 +184,8 @@ def test_criterion_7_transfer_sanity():
     source = model.build(model.ModelArch(), np.zeros((300, 100)), seed=2)
     moved = model.transfer(source, "c", seed=8)
     trunk_equal = all(
-        np.array_equal(ps.values, pm.values)
-        for ps, pm in zip(source.trunk_params(), moved.trunk_params())
+        np.array_equal(source.tensors[name].values, moved.tensors[name].values)
+        for name in model.TRUNK_NAMES
     )
     head = moved.out_w.size + moved.out_b.size
     elapsed = time.time() - t0

@@ -102,7 +102,7 @@ class TestForest:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            train_forest(np.zeros((0, 2)), [], seed=0)
+            train_forest(np.zeros((0, 2)), [], n_trees=100, seed=0)
 
     def test_reproducible_from_seed(self):
         rng = np.random.default_rng(1)
@@ -137,16 +137,16 @@ class TestPredictVotes:
         return TreeNode(class_counts=counts)
 
     def test_majority(self):
-        forest = ForestModel([self._leaf_tree(1), self._leaf_tree(1), self._leaf_tree(0)], 2, 1, 0)
+        forest = ForestModel([self._leaf_tree(1), self._leaf_tree(1), self._leaf_tree(0)], 2)
         assert predict_forest(forest, np.zeros((1, 1))).tolist() == [1]
 
     def test_tie_goes_to_lowest_label(self):
-        forest = ForestModel([self._leaf_tree(0), self._leaf_tree(1)], 2, 1, 0)
+        forest = ForestModel([self._leaf_tree(0), self._leaf_tree(1)], 2)
         assert predict_forest(forest, np.zeros((1, 1))).tolist() == [0]
 
     def test_empty_forest(self):
         with pytest.raises(ValueError):
-            predict_forest(ForestModel([], 2, 1, 0), np.zeros((1, 1)))
+            predict_forest(ForestModel([], 2), np.zeros((1, 1)))
 
 
 class TestCvSelectPu:

@@ -1,9 +1,10 @@
 import json
+import struct
 from dataclasses import asdict, fields
 
 import pytest
 
-from offlang import cli, embeddings, model
+from offlang import cli, corpus, embeddings, model
 from offlang.corpus import Vocabulary
 
 from conftest import OLID_FIXTURE
@@ -261,8 +262,7 @@ def test_unknown_label_in_data_reports_error(tmp_path, capsys):
 ])
 def test_every_section_field_is_read(section, cls, settings, fixed):
     built = asdict(cli._section({section: settings}, section, cls, **fixed))
-    renamed = {"min_ngram": "n_min", "max_ngram": "n_max"}
-    expected = {**{renamed.get(k, k): v for k, v in settings.items()}, **fixed}
+    expected = {**settings, **fixed}
     assert built == expected
     assert all(expected[f.name] != f.default for f in fields(cls))
 
@@ -364,3 +364,25 @@ def test_resample_report_and_tune_pu_outputs_pinned(tmp_path, capsys):
         "0.5,0.375000,0.670330,0.522665\n"
         "1.0,0.600000,0.411765,0.505882\n"
     )
+
+
+def test_predict_on_corrupt_model_file_exits_1(tmp_path, capsys):
+    vocab = corpus.build_vocab([["a"]])
+    vocab.save(tmp_path / "vocab.txt")
+    path = tmp_path / "model.bin"
+    params = model.build(model.ModelArch(seq_len=12, embed_dim=8, hidden=6, filters=4), [[0.0] * 8] * vocab.size, 0)
+    model.save_model(params, vocab.content_hash(), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:5] + struct.pack("<Q", 2**62) + data[13:])  # a header length past the end
+    config, _ = write_config(tmp_path, **{"predict.model": str(path), "predict.vocab": str(tmp_path / "vocab.txt")})
+    assert cli.main(["predict", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: truncated model file" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, task", [("evaluate", "d"), ("predict", "d"), ("predict", 3)])
+def test_unknown_task_is_named(tmp_path, capsys, command, task):
+    config, _ = write_config(tmp_path, **{"data.task": task})
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"data.task must be one of a, b, c, got {task!r}" in err and "Traceback" not in err

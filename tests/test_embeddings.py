@@ -57,20 +57,20 @@ class TestNgrams:
         cfg = NgramConfig()
         wrapped = len(word) + 2
         expected = sum(
-            wrapped - n + 1 for n in range(cfg.n_min, min(cfg.n_max, wrapped) + 1)
+            wrapped - n + 1 for n in range(cfg.min_ngram, min(cfg.max_ngram, wrapped) + 1)
         )
         assert len(extract_ngrams(word, cfg)) == expected
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
-            NgramConfig(n_min=4, n_max=3)
+            NgramConfig(min_ngram=4, max_ngram=3)
 
 
 class TestWordVector:
     @staticmethod
     def _tiny_model(dim=4, buckets=50):
         cfg = NgramConfig(buckets=buckets)
-        return FastTextModel.init(["car", "new"], np.array([2.0, 2.0]), dim, cfg, seed=0)
+        return FastTextModel.init(["car", "new"], dim, cfg, seed=0)
 
     def test_mean_of_identical_vectors(self):
         m = self._tiny_model()
@@ -103,7 +103,7 @@ class TestTrainCbow:
     def test_single_token_documents_leave_model_at_init(self):
         params = CbowTrainParams(seed=4)
         trained = train_cbow([["x"], ["y"], ["x"]], params=params, dim=8)
-        fresh = FastTextModel.init(trained.tokens, None, 8, NgramConfig(), seed=4)
+        fresh = FastTextModel.init(trained.tokens, 8, NgramConfig(), seed=4)
         assert np.array_equal(trained.word_in, fresh.word_in)
         assert np.array_equal(trained.bucket_vecs, fresh.bucket_vecs)
         assert np.array_equal(trained.word_out, fresh.word_out)
@@ -159,7 +159,7 @@ class TestTrainCbow:
             CbowTrainParams(epochs=5, subsample=0.0, seed=2),
             dim=32,
         )
-        assert "newcar" not in m
+        assert "newcar" not in m.token_to_id
         nc = m.word_vector("newcar")
         target = cosine(nc, m.word_vector("car"))
         others = sorted(
@@ -225,7 +225,7 @@ class TestEmbeddingMatrix:
         assert matrix.size == 2_125_100
 
     def test_model_source_uses_subwords(self):
-        m = FastTextModel.init(["a"], np.array([1.0]), 4, NgramConfig(buckets=20), seed=0)
+        m = FastTextModel.init(["a"], 4, NgramConfig(buckets=20), seed=0)
         vocab = corpus.build_vocab([["a", "zq"]])  # 'zq' is OOV for the model
         matrix = build_embedding_matrix(vocab, m)
         assert np.allclose(matrix[vocab.index("a")], m.word_vector("a"))
@@ -248,7 +248,7 @@ class TestSaveLoad:
             assert np.allclose(loaded.word_vector(w), m.word_vector(w))
 
     def test_load_vectors_tells_the_format_from_the_first_line(self, tmp_path):
-        m = FastTextModel.init(["red", "blue"], np.array([1.0, 1.0]), 3, NgramConfig(2, 4, buckets=7), seed=0)
+        m = FastTextModel.init(["red", "blue"], 3, NgramConfig(2, 4, buckets=7), seed=0)
         save_fasttext(m, tmp_path / "ft.txt")
         loaded = load_vectors(tmp_path / "ft.txt", NgramConfig(2, 4, buckets=99))
         assert loaded.cfg == NgramConfig(2, 4, buckets=7)
@@ -257,14 +257,14 @@ class TestSaveLoad:
         assert list(load_vectors(tmp_path / "plain.txt", NgramConfig())) == ["red"]
 
     def test_non_finite_component_names_line(self, tmp_path):
-        m = FastTextModel.init(["x", "y"], np.array([1.0, 1.0]), 3, NgramConfig(buckets=5), seed=0)
+        m = FastTextModel.init(["x", "y"], 3, NgramConfig(buckets=5), seed=0)
         m.bucket_vecs[1, 2] = np.nan
         save_fasttext(m, tmp_path / "ft.txt")
         with pytest.raises(ValueError, match="line 5: non-finite"):
             load_fasttext(tmp_path / "ft.txt")
 
     def test_repeated_token_names_path_and_line(self, tmp_path):
-        m = FastTextModel.init(["x", "y"], np.array([1.0, 1.0]), 3, NgramConfig(buckets=5), seed=0)
+        m = FastTextModel.init(["x", "y"], 3, NgramConfig(buckets=5), seed=0)
         path = tmp_path / "ft.txt"
         save_fasttext(m, path)
         path.write_text(path.read_text().replace("\ny ", "\nx "))
@@ -272,7 +272,7 @@ class TestSaveLoad:
             load_fasttext(path)
 
     def test_non_numeric_component_names_path_and_line(self, tmp_path):
-        m = FastTextModel.init(["x", "y"], np.array([1.0, 1.0]), 3, NgramConfig(buckets=5), seed=0)
+        m = FastTextModel.init(["x", "y"], 3, NgramConfig(buckets=5), seed=0)
         path = tmp_path / "ft.txt"
         save_fasttext(m, path)
         lines = path.read_text().splitlines()
@@ -281,8 +281,22 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: non-numeric vector component")):
             load_fasttext(path)
 
+    @pytest.mark.parametrize("header", ["1 x 2", "-1 5 3", "1 5", "1 5 3 4"])
+    def test_bad_header_names_path(self, tmp_path, header):
+        path = tmp_path / "ft.txt"
+        path.write_text(header + "\n", encoding="utf-8")
+        message = f"{path}: fasttext header {header!r} is not three non-negative integers V B d"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_fasttext(path)
+
+    def test_header_larger_than_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "ft.txt"
+        path.write_text("1 1000000000000 2\nx 0.5 0.5\n0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: expected 2 components, got 1")):
+            load_fasttext(path)
+
     def test_truncated_file_rejected(self, tmp_path):
-        m = FastTextModel.init(["x"], np.array([1.0]), 3, NgramConfig(buckets=5), seed=0)
+        m = FastTextModel.init(["x"], 3, NgramConfig(buckets=5), seed=0)
         path = tmp_path / "ft.txt"
         save_fasttext(m, path)
         lines = path.read_text().splitlines()

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offlang import corpus, model, nn
 from offlang.corpus import Examples
@@ -20,7 +21,6 @@ from offlang.model import (
     layer_param_counts,
     load_model,
     save_model,
-    total_param_count,
     train,
     transfer,
 )
@@ -57,7 +57,7 @@ def proba(params, examples):
 
 class TestBuild:
     def test_default_total_parameter_count(self):
-        assert total_param_count(ModelArch(), 21_251) == 2_393_729
+        assert sum(c for _, _, c in layer_param_counts(ModelArch(), 21_251)) == 2_393_729
 
     def test_layer_counts_match_summary_table(self):
         counts = [c for _, _, c in layer_param_counts(ModelArch(), 21_251)]
@@ -256,8 +256,8 @@ class TestTransfer:
     def test_trunk_bitwise_equal(self):
         source = small_params(seed=2)
         moved = transfer(source, "b", seed=9)
-        for ps, pm in zip(source.trunk_params(), moved.trunk_params()):
-            assert np.array_equal(ps.values, pm.values)
+        for name in model.TRUNK_NAMES:
+            assert np.array_equal(source.tensors[name].values, moved.tensors[name].values)
 
     def test_task_c_head_size(self):
         source = build(ModelArch(), np.zeros((50, 100)), seed=0)
@@ -281,7 +281,7 @@ class TestSaveLoad:
         params = small_params(seed=6)
         path = tmp_path / "model.bin"
         save_model(params, "hash123", path)
-        loaded, vocab_hash = load_model(path)
+        loaded, vocab_hash = load_model(path, "hash123")
         assert vocab_hash == "hash123"
         examples = random_examples(SMALL, 12, 5, seed=1)
         assert np.array_equal(proba(params, examples), proba(loaded, examples))
@@ -302,7 +302,7 @@ class TestSaveLoad:
             bad = tmp_path / "bad.bin"
             bad.write_bytes(data[:cut])
             with pytest.raises(ModelError):
-                load_model(bad)
+                load_model(bad, "aaa")
 
     def test_trailing_garbage(self, tmp_path):
         params = small_params()
@@ -310,7 +310,7 @@ class TestSaveLoad:
         save_model(params, "aaa", path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ModelError, match="trailing"):
-            load_model(path)
+            load_model(path, "aaa")
 
     def test_identical_params_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -348,4 +348,73 @@ class TestSaveLoad:
         blob = json.dumps(header).encode("utf-8")
         path.write_bytes(data[: start - 8] + struct.pack("<Q", len(blob)) + blob + data[start + header_len :])
         with pytest.raises(ModelError, match=message):
-            load_model(path)
+            load_model(path, "aaa")
+
+
+def with_header(data: bytes, change) -> bytes:
+    """The saved model `data` with `change` applied to its JSON header."""
+    start = len(model.MODEL_MAGIC) + 8
+    (header_len,) = struct.unpack("<Q", data[start - 8 : start])
+    header = json.loads(data[start : start + header_len])
+    change(header)
+    blob = json.dumps(header).encode("utf-8")
+    return data[: start - 8] + struct.pack("<Q", len(blob)) + blob + data[start + header_len :]
+
+
+def set_shape(shape):
+    return lambda data: with_header(data, lambda header: header["tensors"][0].update(shape=shape))
+
+
+def set_arch(field, value):
+    return lambda data: with_header(data, lambda header: header["arch"].update({field: value}))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda data: data[:5] + struct.pack("<Q", 2**62) + data[13:], "truncated"),
+    (set_shape([10**12, 3]), "truncated"),
+    (set_shape("ab"), "shape 'ab' is not a list of non-negative ints"),
+    (set_shape([2.5, 3]), "shape [2.5, 3] is not"),
+    (set_shape([True, 3]), "shape [True, 3] is not"),
+    (set_shape([-1, 3]), "shape [-1, 3] is not"),
+    (set_arch("hidden", 2.0), "arch field hidden must be int, got 2.0"),
+    (set_arch("embed_dim", True), "arch field embed_dim must be int, got True"),
+    (lambda data: with_header(data, lambda header: header.update(vocab_hash=5)), "vocab_hash 5 is not a string"),
+], ids=["length 2**62", "shape 10**12 x 3", "shape ab", "shape 2.5", "shape True", "shape -1",
+        "hidden 2.0", "embed_dim true", "vocab_hash 5"])
+def test_corrupt_model_file_raises_model_error_naming_path(tmp_path, corrupt, message):
+    path = tmp_path / "model.bin"
+    save_model(small_params(), "aaa", path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ModelError) as err:
+        load_model(path, "aaa")
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    params = small_params(seed=4)
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    save_model(params, "aaa", path)
+    return params, path.read_bytes(), path
+
+
+def loads_the_same_or_fails_loud(params, data, path) -> None:
+    path.write_bytes(data)
+    try:
+        loaded, _ = load_model(path, "aaa")
+    except ModelError:
+        return
+    for name in model.TENSOR_NAMES:
+        want, got = params.tensors[name].values, loaded.tensors[name].values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=st.data())
+def test_fuzzed_model_file_fails_loud_or_loads_the_same(saved_model, draw):
+    params, data, path = saved_model
+    loads_the_same_or_fails_loud(params, data[: draw.draw(st.integers(0, len(data) - 1))], path)
+    # one byte of the length field or the JSON header
+    header_end = len(model.MODEL_MAGIC) + 8 + struct.unpack("<Q", data[5:13])[0]
+    i = draw.draw(st.integers(len(model.MODEL_MAGIC), header_end - 1))
+    loads_the_same_or_fails_loud(params, data[:i] + bytes([draw.draw(st.integers(0, 255))]) + data[i + 1 :], path)
