@@ -6,6 +6,7 @@ records a run.json sufficient to replay it.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -65,7 +66,7 @@ class Run:
         return task.lower()
 
     def records(self, key: str = "data.train_path") -> list[corpus.TweetRecord]:
-        with open(cfg(self.config, key), encoding="utf-8") as fh:
+        with open(_scalar(self.config, key, str), encoding="utf-8") as fh:
             return corpus.parse_olid(fh)
 
 
@@ -75,9 +76,9 @@ def _runner(command):
 
     def run_command(args) -> int:
         config = load_config(args.config)
-        out = Path(cfg(config, "output.dir"))
+        out = Path(_scalar(config, "output.dir", str))
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else _scalar(config, "data.seed", 0)
+        seed = args.seed if args.seed is not None else _at_least(config, "data.seed", 0, 0)
         run = Run(args, config, seed, out)
         command(run)
         payload = {
@@ -96,21 +97,34 @@ def _runner(command):
 
 
 def _scalar(config: dict, dotted: str, default):
-    """Config key `dotted`, which must already have its default's type; an
-    int is accepted where a float is expected, and read as that float."""
-    value, kind = cfg(config, dotted, default), type(default)
+    """Config key `dotted`, which must already have its default's type; a
+    type as `default` makes the key required. An int is accepted where a
+    float is expected, and read as that float, which must be finite."""
+    required = isinstance(default, type)
+    kind = default if required else type(default)
+    value = cfg(config, dotted, _REQUIRED if required else default)
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"config key {dotted} must be true or false, got {value!r}")
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config key {dotted} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {dotted} must be finite, got {value!r}")
     return kind(value)
+
+
+def _at_least(config: dict, dotted: str, default: int, low: int) -> int:
+    value = _scalar(config, dotted, default)
+    if value < low:
+        raise ConfigError(f"config key {dotted} must be >= {low}, got {value}")
+    return value
 
 
 def _section(config: dict, name: str, cls, **fixed):
     """`cls` from config section `name`: each field the section sets, read
     by `_scalar` against the field's default, plus the `fixed` fields. The
-    defaults live on `cls` alone."""
+    defaults and range checks live on `cls` alone; a check's message starts
+    with its field's name."""
     section = cfg(config, name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config key {name!r} must be an object")
@@ -118,18 +132,31 @@ def _section(config: dict, name: str, cls, **fixed):
     for f in fields(cls):
         if f.name not in fixed and f.name in section:
             values[f.name] = _scalar(config, f"{name}.{f.name}", f.default)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"config key {name}.{exc}") from None
 
 
 def _embed_dim(config: dict) -> int:
-    return _scalar(config, "embeddings.dim", model.ModelArch.embed_dim)
+    return _at_least(config, "embeddings.dim", model.ModelArch.embed_dim, 1)
 
 
 _DEFAULT_PU = {"a": 0.3, "b": 0.2, "c": 0.7}
 
 
 def _p_u(run: Run) -> float:
-    return _scalar(run.config, "resample.p_u", _DEFAULT_PU[run.task])
+    p_u = _scalar(run.config, "resample.p_u", _DEFAULT_PU[run.task])
+    if not 0.0 <= p_u <= 1.0:
+        raise ConfigError(f"config key resample.p_u must be in [0, 1], got {p_u}")
+    return p_u
+
+
+def _grid(config: dict) -> list:
+    grid = cfg(config, "baseline.grid", [round(0.1 * i, 1) for i in range(11)])
+    if not (isinstance(grid, list) and grid and all(type(p) in (int, float) and 0 <= p <= 1 for p in grid)):
+        raise ConfigError(f"config key baseline.grid must be a non-empty list of numbers in [0, 1], got {grid!r}")
+    return grid
 
 
 def _tokens(records) -> list[list[str]]:
@@ -139,8 +166,6 @@ def _tokens(records) -> list[list[str]]:
 def _stratified_split(labels: np.ndarray, val_fraction: float, seed: int):
     """Sorted (train, validation) row positions; each class gives
     round(val_fraction * its size) random rows to validation."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     rng = np.random.default_rng(seed)
     val = np.zeros(len(labels), dtype=bool)
     for label in np.unique(labels):
@@ -155,7 +180,10 @@ def _split(run: Run, records, vocab, seq_len: int):
     task = run.task
     records = corpus.filter_task(records, task)
     examples = corpus.Examples(*corpus.encode_records(records, vocab, seq_len), corpus.label_indices(records, task))
-    train_rows, val_rows = _stratified_split(examples.label, _scalar(run.config, "data.val_fraction", 0.2), run.seed)
+    val_fraction = _scalar(run.config, "data.val_fraction", 0.2)
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError(f"config key data.val_fraction must be in (0, 1), got {val_fraction}")
+    train_rows, val_rows = _stratified_split(examples.label, val_fraction, run.seed)
     p_u = _p_u(run)
     train_set, val_set = examples[train_rows], examples[val_rows]
     train_set = train_set[resample.rebalance(train_set.label, p_u, run.seed)]
@@ -168,7 +196,7 @@ def _train_cbow(run: Run, records) -> embeddings.FastTextModel:
         _tokens(records),
         _section(run.config, "embeddings", embeddings.NgramConfig),
         _section(run.config, "embeddings", embeddings.CbowTrainParams, seed=run.seed),
-        dim=_embed_dim(run.config),
+        _embed_dim(run.config),
     )
 
 
@@ -179,7 +207,7 @@ def _build_model(run: Run, records, vocab) -> model.ModelParams:
         vectors = _train_cbow(run, records)
     elif source == "external_file":
         ngrams = _section(run.config, "embeddings", embeddings.NgramConfig)
-        vectors = embeddings.load_vectors(cfg(run.config, "embeddings.path"), ngrams)
+        vectors = embeddings.load_vectors(_scalar(run.config, "embeddings.path", str), ngrams)
     else:
         raise ConfigError(f"embeddings.source must be 'cbow' or 'external_file', got {source!r}")
     arch = _section(run.config, "model", model.ModelArch,
@@ -256,8 +284,8 @@ def cmd_train(run: Run) -> None:
 def cmd_transfer(run: Run) -> None:
     if run.task not in ("b", "c"):
         raise ConfigError("transfer targets task b or c")
-    vocab = corpus.Vocabulary.load(cfg(run.config, "transfer.vocab"))
-    source, _ = model.load_model(cfg(run.config, "transfer.source_model"), vocab.content_hash())
+    vocab = corpus.Vocabulary.load(_scalar(run.config, "transfer.vocab", str))
+    source, _ = model.load_model(_scalar(run.config, "transfer.source_model", str), vocab.content_hash())
     best = _fit(run, model.transfer(source, run.task, run.seed), run.records(), vocab)
     print(
         f"transferred to task {run.task}: best epoch {best.epoch}, "
@@ -267,8 +295,8 @@ def cmd_transfer(run: Run) -> None:
 
 def cmd_predict(run: Run) -> None:
     task = run.task
-    vocab = corpus.Vocabulary.load(cfg(run.config, "predict.vocab"))
-    params, _ = model.load_model(cfg(run.config, "predict.model"), vocab.content_hash())
+    vocab = corpus.Vocabulary.load(_scalar(run.config, "predict.vocab", str))
+    params, _ = model.load_model(_scalar(run.config, "predict.model", str), vocab.content_hash())
     records = run.records("data.test_path")
     names = corpus.TASK_LABELS[task]
     labels = model.predict(params, *corpus.encode_records(records, vocab, params.arch.seq_len))
@@ -288,7 +316,7 @@ def cmd_evaluate(run: Run) -> None:
         raise ConfigError(f"the gold file has no records for task {task}")
     # ids outside the gold set are ignored: predict labels every record,
     # including those that are NULL for tasks b and c
-    predictions_path = cfg(run.config, "evaluate.predictions")
+    predictions_path = _scalar(run.config, "evaluate.predictions", str)
     predicted: dict[str, int] = {}
     with open(predictions_path, encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh, strict=True)
@@ -325,19 +353,15 @@ def cmd_evaluate(run: Run) -> None:
 
 def cmd_tune_pu(run: Run) -> None:
     task = run.task
+    grid = _grid(run.config)
+    folds = _at_least(run.config, "baseline.folds", 5, 2)
+    n_trees = _at_least(run.config, "baseline.n_trees", 100, 1)
     records = corpus.filter_task(run.records(), task)
     tokens = _tokens(records)
     X = baseline.bow_matrix(tokens, corpus.build_vocab(tokens))
     y = corpus.label_indices(records, task)
 
-    best, candidates = baseline.cv_select_pu(
-        X,
-        y,
-        grid=cfg(run.config, "baseline.grid", [round(0.1 * i, 1) for i in range(11)]),
-        folds=_scalar(run.config, "baseline.folds", 5),
-        n_trees=_scalar(run.config, "baseline.n_trees", 100),
-        seed=run.seed,
-    )
+    best, candidates = baseline.cv_select_pu(X, y, grid=grid, folds=folds, n_trees=n_trees, seed=run.seed)
     baseline.write_pu_report(candidates, run.out / "pu_report.csv")
     for c in candidates:
         print(f"p_u={c.p_u:.1f}  mean macro-F1 {c.mean_macro_f1:.4f}")
@@ -345,6 +369,8 @@ def cmd_tune_pu(run: Run) -> None:
 
 
 def cmd_tune_hparams(run: Run) -> None:
+    n_init = _at_least(run.config, "hpo.n_init", 3, 1)
+    n_iter = _at_least(run.config, "hpo.n_iter", 10, 0)
     records = run.records()
     vocab = corpus.build_vocab(_tokens(records))
     initial = _build_model(run, records, vocab)
@@ -357,13 +383,7 @@ def cmd_tune_hparams(run: Run) -> None:
         _, history = model.train(initial.copy(), train_set, val_set, trial)
         return 1.0 - history[-1].val_accuracy
 
-    result = hpo.bo_loop(
-        objective,
-        space,
-        n_init=_scalar(run.config, "hpo.n_init", 3),
-        n_iter=_scalar(run.config, "hpo.n_iter", 10),
-        seed=run.seed,
-    )
+    result = hpo.bo_loop(objective, space, n_init=n_init, n_iter=n_iter, seed=run.seed)
     hpo.write_bo_trace(result, space, run.out / "bo_trace.csv")
     print(
         f"best: lr={result.best_params['lr']:.6g} "

@@ -3,9 +3,8 @@ hashed character-n-gram vectors, plus a loader for external text-format
 embeddings and the embedding-matrix builder that seeds the classifier.
 """
 
-import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -33,9 +32,9 @@ class NgramConfig:
 
     def __post_init__(self):
         if not 1 <= self.min_ngram <= self.max_ngram:
-            raise ValueError(f"need 1 <= min_ngram <= max_ngram, got [{self.min_ngram}, {self.max_ngram}]")
+            raise ValueError(f"min_ngram must be in [1, max_ngram], got [{self.min_ngram}, {self.max_ngram}]")
         if self.buckets < 1:
-            raise ValueError("bucket count must be >= 1")
+            raise ValueError(f"buckets must be >= 1, got {self.buckets}")
 
 
 def ngram_strings(word: str, cfg: NgramConfig) -> list[str]:
@@ -65,8 +64,13 @@ class CbowTrainParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.window < 1 or self.negatives < 1:
-            raise ValueError("window and negatives must be >= 1")
+        for name in ("window", "negatives", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.subsample < 0:
+            raise ValueError(f"subsample must be >= 0, got {self.subsample}")
 
 
 class FastTextModel:
@@ -108,14 +112,6 @@ class FastTextModel:
         word_out = np.zeros((len(tokens), dim))
         return cls(tokens, dim, cfg, word_in, bucket_vecs, word_out)
 
-    def _rows(self, ids: np.ndarray) -> np.ndarray:
-        v = len(self.tokens)
-        out = np.empty((len(ids), self.dim))
-        word_mask = ids < v
-        out[word_mask] = self.word_in[ids[word_mask]]
-        out[~word_mask] = self.bucket_vecs[ids[~word_mask] - v]
-        return out
-
     def constituent_ids(self, word: str) -> np.ndarray:
         wid = self.token_to_id.get(word)
         if wid is not None:
@@ -129,7 +125,17 @@ class FastTextModel:
         ids = self.constituent_ids(word)
         if len(ids) == 0:
             raise ValueError(f"word {word!r} has no vector constituents")
-        return self._rows(ids).mean(axis=0)
+        return _gather(self.word_in, self.bucket_vecs, ids).mean(axis=0)
+
+
+def _gather(word_in: np.ndarray, bucket_vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Input rows of virtual ids: word rows are [0, V), bucket rows [V, V+B)."""
+    v = len(word_in)
+    rows = np.empty((len(ids), word_in.shape[1]))
+    word = ids < v
+    rows[word] = word_in[ids[word]]
+    rows[~word] = bucket_vecs[ids[~word] - v]
+    return rows
 
 
 def cbow_pair_loss(
@@ -143,20 +149,14 @@ def cbow_pair_loss(
     """Negative-sampling loss and gradients for one (context, center) pair.
 
     The hidden vector is the mean over context tokens of each token's mean
-    constituent row. Returns (loss, grad_rows, output_grads) where grad_rows
-    maps virtual input-row id -> gradient and output_grads maps output-row id
-    -> gradient; virtual ids place bucket rows after the word rows.
+    constituent row. Returns (loss, (ids, input_grads), (targets,
+    output_grads)): `ids` are the distinct virtual input-row ids, sorted, with
+    their summed gradient rows; `targets` are the output rows, repeats kept.
     """
-    v = word_in.shape[0]
-    k = len(context_constituents)
-    reps = np.empty((k, word_in.shape[1]))
-    for j, ids in enumerate(context_constituents):
-        gathered = np.empty((len(ids), word_in.shape[1]))
-        m = ids < v
-        gathered[m] = word_in[ids[m]]
-        gathered[~m] = bucket_vecs[ids[~m] - v]
-        reps[j] = gathered.mean(axis=0)
-    h = reps.mean(axis=0)
+    lens = np.array([len(ids) for ids in context_constituents])
+    flat = np.concatenate(context_constituents)
+    rows = _gather(word_in, bucket_vecs, flat)
+    h = np.array([rows[end - n : end].mean(axis=0) for n, end in zip(lens, np.cumsum(lens))]).mean(axis=0)
 
     targets = np.concatenate([[center_id], negative_ids]).astype(int)
     labels = np.zeros(len(targets))
@@ -170,71 +170,44 @@ def cbow_pair_loss(
     grad_h = dscores @ word_out[targets]
     output_grads = (targets, dscores[:, None] * h)
 
-    input_grads: dict[int, np.ndarray] = {}
-    for ids in context_constituents:
-        share = grad_h / (k * len(ids))
-        for rid in ids:
-            prev = input_grads.get(int(rid))
-            input_grads[int(rid)] = share if prev is None else prev + share
-    return loss, input_grads, output_grads
-
-
-def _keep_probability(count: int, total: int, threshold: float) -> float:
-    if threshold <= 0:
-        return 1.0
-    f = count / total
-    p = (math.sqrt(f / threshold) + 1.0) * (threshold / f)
-    return min(1.0, p)
+    # each occurrence gets its token's share of grad_h; np.add.at adds an id's later
+    # shares to its first in occurrence order (np.add.reduceat does not add in order)
+    shares = grad_h / (len(lens) * lens)[:, None]
+    order = np.argsort(flat, kind="stable")
+    ids, token = flat[order], np.repeat(np.arange(len(lens)), lens)[order]
+    first = np.r_[True, ids[1:] != ids[:-1]]
+    grads = shares[token[first]]
+    np.add.at(grads, np.cumsum(first)[~first] - 1, shares[token[~first]])
+    return loss, (ids[first], grads), output_grads
 
 
 def train_cbow(
-    token_lists: Iterable[list[str]],
-    cfg: NgramConfig | None = None,
-    params: CbowTrainParams | None = None,
-    dim: int = 100,
+    token_lists: Sequence[list[str]], cfg: NgramConfig, params: CbowTrainParams, dim: int
 ) -> FastTextModel:
     """Train CBOW negative-sampling embeddings over tokenized sentences.
 
     Sequential SGD from one rng seeded by `params.seed`, so training is
     bit-reproducible from the seed.
     """
-    cfg = cfg or NgramConfig()
-    params = params or CbowTrainParams()
-
-    tokens: list[str] = []
-    token_to_id: dict[str, int] = {}
-    counts: list[int] = []
-    sentences: list[np.ndarray] = []
-    for sent in token_lists:
-        ids = np.empty(len(sent), dtype=int)
-        for j, tok in enumerate(sent):
-            tid = token_to_id.get(tok)
-            if tid is None:
-                tid = len(tokens)
-                token_to_id[tok] = tid
-                tokens.append(tok)
-                counts.append(0)
-            counts[tid] += 1
-            ids[j] = tid
-        sentences.append(ids)
+    tokens = list(dict.fromkeys(tok for sent in token_lists for tok in sent))
     if not tokens:
         raise ValueError("empty corpus: no tokens to train on")
+    model = FastTextModel.init(tokens, dim, cfg, params.seed)
+    sentences = [np.array([model.token_to_id[tok] for tok in sent], dtype=int) for sent in token_lists]
+    counts = np.bincount(np.concatenate(sentences), minlength=len(tokens))
+    total = int(counts.sum())
 
-    counts_arr = np.array(counts, dtype=float)
-    total = int(counts_arr.sum())
-    model = FastTextModel.init(tokens, dim=dim, cfg=cfg, seed=params.seed)
-
-    keep_prob = np.array(
-        [_keep_probability(int(c), total, params.subsample) for c in counts_arr]
-    )
-    noise = counts_arr**0.75
+    keep_prob = np.ones(len(tokens))
+    if params.subsample > 0:
+        f = counts / total
+        keep_prob = np.minimum(1.0, (np.sqrt(f / params.subsample) + 1.0) * (params.subsample / f))
+    noise = counts**0.75
     noise_cdf = np.cumsum(noise / noise.sum())
     noise_cdf[-1] = 1.0
     total_tokens = total * params.epochs
 
     rng = np.random.default_rng(params.seed)
     v = len(tokens)
-    constituents = model._constituents
     word_in, bucket_vecs, word_out = model.word_in, model.bucket_vecs, model.word_out
     processed = 0
     for _ in range(params.epochs):
@@ -244,25 +217,21 @@ def train_cbow(
             kept = sent[rng.random(len(sent)) < keep_prob[sent]]
             for pos in range(len(kept)):
                 b = int(rng.integers(1, params.window + 1))
-                lo = max(0, pos - b)
-                context = np.concatenate([kept[lo:pos], kept[pos + 1 : pos + 1 + b]])
+                context = np.concatenate([kept[max(0, pos - b) : pos], kept[pos + 1 : pos + 1 + b]])
                 if len(context) == 0:
                     continue
                 center = int(kept[pos])
                 negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
                 negs = negs[negs != center]
-
-                ctx_ids = [constituents[c] for c in context]
-                _, input_grads, (targets, out_grads) = cbow_pair_loss(
-                    word_in, bucket_vecs, word_out, ctx_ids, center, negs
-                )
+                ctx_ids = [model._constituents[c] for c in context]
+                _, (ids, grads), (targets, out_grads) = cbow_pair_loss(
+                    word_in, bucket_vecs, word_out, ctx_ids, center, negs)
                 # negatives may repeat; subtract.at accumulates duplicates
                 np.subtract.at(word_out, targets, alpha * out_grads)
-                for rid, grad in input_grads.items():
-                    if rid < v:
-                        word_in[rid] -= alpha * grad
-                    else:
-                        bucket_vecs[rid - v] -= alpha * grad
+                # the input ids are distinct and sorted, word rows first
+                split = np.searchsorted(ids, v)
+                word_in[ids[:split]] -= alpha * grads[:split]
+                bucket_vecs[ids[split:] - v] -= alpha * grads[split:]
     return model
 
 
@@ -361,7 +330,7 @@ def save_fasttext(model: FastTextModel, path) -> None:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
-def load_fasttext(path, cfg: NgramConfig | None = None) -> FastTextModel:
+def load_fasttext(path, cfg: NgramConfig) -> FastTextModel:
     """Load a saved model for inference (word_vector / matrix building);
     word and bucket lines get the checks of `load_text_embeddings`, and an
     error names the path and the line."""
@@ -372,7 +341,7 @@ def load_fasttext(path, cfg: NgramConfig | None = None) -> FastTextModel:
         v, buckets, dim = (int(x) for x in header)
         words: dict[str, np.ndarray] = {}
         try:
-            cfg = replace(cfg or NgramConfig(), buckets=buckets)
+            cfg = replace(cfg, buckets=buckets)
             for line_no in range(2, v + 2):
                 _add_word(words, _split_line(fh.readline()), dim, line_no)
             # rows are collected, not preallocated from the header's B and d,

@@ -176,10 +176,9 @@ def check_cbow(seed: int) -> float:
     center, negs = 4, np.array([1, 5, 1])  # duplicate negative on purpose
     args = (word_in, bucket_vecs, word_out, ctx, center, negs)
 
-    _, input_grads, (targets, out_grads) = cbow_pair_loss(*args)
+    _, (ids, grads), (targets, out_grads) = cbow_pair_loss(*args)
     analytic_rows = np.zeros((v + buckets, dim))  # virtual ids: bucket rows after word rows
-    for rid, g in input_grads.items():
-        analytic_rows[rid] += g
+    analytic_rows[ids] = grads
     analytic_out = np.zeros_like(word_out)
     np.add.at(analytic_out, targets, out_grads)
     return _worst(lambda: cbow_pair_loss(*args)[0],

@@ -38,7 +38,9 @@ class ModelArch:
     def __post_init__(self):
         for name in ("seq_len", "embed_dim", "hidden", "kernel", "filters", "ffnn_hidden"):
             if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be positive")
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.kernel > self.seq_len:
+            raise ModelError(f"kernel must be <= seq_len {self.seq_len}, got {self.kernel}")
         if self.output_units not in (1, 3):
             raise ModelError(f"output_units must be 1 or 3, got {self.output_units}")
 
@@ -60,12 +62,17 @@ class TrainConfig:
     freeze_trunk: bool = False
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.lr <= 0:
-            raise ModelError("learning rate must be positive")
-        if self.patience < 1:
-            raise ModelError("patience must be >= 1")
+            raise ModelError(f"lr must be > 0, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ModelError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.loss not in ("cross_entropy", "weighted_cross_entropy", "soft_f1"):
-            raise ModelError(f"unknown loss {self.loss!r}")
+            raise ModelError(f"loss must be cross_entropy, weighted_cross_entropy or soft_f1, got {self.loss!r}")
 
 
 TRUNK_NAMES = (
@@ -117,13 +124,29 @@ class ModelParams:
             p.values[...] = values
 
 
+def tensor_shapes(arch: ModelArch, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every tensor `build` makes, by name, without making them."""
+    four_h = 4 * arch.hidden
+    lstm = {"wx": (four_h, arch.embed_dim), "wh": (four_h, arch.hidden), "b": (four_h,)}
+    return {
+        "embedding": (vocab_size, arch.embed_dim),
+        **{f"lstm_{d}_{part}": shape for d in ("fwd", "bwd") for part, shape in lstm.items()},
+        "conv_kernel": (arch.kernel, 2 * arch.hidden, arch.filters),
+        "conv_bias": (arch.filters,),
+        "dense1_w": (arch.ffnn_hidden, arch.feature_dim),
+        "dense1_b": (arch.ffnn_hidden,),
+        "out_w": (arch.output_units, arch.ffnn_hidden),
+        "out_b": (arch.output_units,),
+    }
+
+
 def layer_param_counts(arch: ModelArch, vocab_size: int) -> list[tuple[str, tuple, int]]:
     """Per-layer (name, output shape, parameter count) rows, summary-style;
     the counts are the sizes of the tensors `build` makes."""
-    tensors = build(arch, np.zeros((vocab_size, arch.embed_dim)), seed=0).tensors
+    shapes = tensor_shapes(arch, vocab_size)
 
     def count(prefix: str) -> int:
-        return sum(p.size for name, p in tensors.items() if name.startswith(prefix))
+        return sum(math.prod(shape) for name, shape in shapes.items() if name.startswith(prefix))
 
     t_out = arch.seq_len - arch.kernel + 1
     return [
@@ -416,16 +439,17 @@ def load_model(path, expected_vocab_hash: str) -> tuple[ModelParams, str]:
                 f"{path}: vocabulary hash mismatch (model {vocab_hash[:12]}…, "
                 f"expected {expected_vocab_hash[:12]}…)"
             )
-        arrays = {name: np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+        payload, left = sum(8 * math.prod(shape) for _, shape in manifest), size - fh.tell()
+        if payload != left:
+            problem = "truncated model file" if payload > left else "trailing bytes after tensor payload"
+            raise ModelError(f"{path}: {problem}")
+        # the arch fixes every shape but the vocabulary size; the shapes are
+        # compared before anything is allocated
+        embedding = dict(manifest)["embedding"]
+        expected = tensor_shapes(arch, embedding[0] if embedding else 0)
+        for name, shape in manifest:
+            if shape != expected[name]:
+                raise ModelError(f"{path}: tensor {name} has shape {shape}, arch needs {expected[name]}")
+        arrays = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
                   for name, shape in manifest}
-        if fh.read(1):
-            raise ModelError(f"{path}: trailing bytes after tensor payload")
-
-    params = ModelParams(arch, {name: nn.Param(values) for name, values in arrays.items()})
-    # the arch fixes every shape but the vocabulary size, and build() knows them
-    embedding = params.embedding.values
-    expected = build(arch, np.zeros((len(embedding) if embedding.ndim else 0, arch.embed_dim)), seed=0)
-    for (name, p), want in zip(params.tensors.items(), expected.all_params()):
-        if p.values.shape != want.values.shape:
-            raise ModelError(f"{path}: tensor {name} has shape {p.values.shape}, arch needs {want.values.shape}")
-    return params, vocab_hash
+    return ModelParams(arch, {name: nn.Param(values) for name, values in arrays.items()}), vocab_hash

@@ -208,9 +208,7 @@ def bilstm_backward(dys: np.ndarray, cache) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spatial dropout
 
-def spatial_dropout_forward(
-    xs: np.ndarray, rate: float, train: bool, rng: np.random.Generator | None = None
-):
+def spatial_dropout_forward(xs: np.ndarray, rate: float, train: bool, rng: np.random.Generator | None):
     """Channel dropout with one mask shared across all timesteps.
 
     Kept channels are scaled by 1/(1-rate); evaluation mode is the identity.
@@ -298,7 +296,7 @@ def _clip_probs(p: np.ndarray):
     return clipped, interior
 
 
-def bce_loss(p: np.ndarray, y: np.ndarray, class_weights: np.ndarray | None = None):
+def bce_loss(p: np.ndarray, y: np.ndarray, class_weights: np.ndarray | None):
     """Binary cross-entropy, batch mean, optional per-class example weights."""
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -313,9 +311,7 @@ def bce_loss(p: np.ndarray, y: np.ndarray, class_weights: np.ndarray | None = No
     return loss, dp
 
 
-def categorical_ce_loss(
-    probs: np.ndarray, onehot: np.ndarray, class_weights: np.ndarray | None = None
-):
+def categorical_ce_loss(probs: np.ndarray, onehot: np.ndarray, class_weights: np.ndarray | None):
     """Categorical cross-entropy over (B, k) probabilities, batch mean."""
     probs = np.asarray(probs, dtype=np.float64)
     onehot = np.asarray(onehot, dtype=np.float64)
@@ -394,9 +390,7 @@ def init_adam(params: list[Param]) -> AdamState:
     return AdamState([np.zeros_like(p.values) for p in params], [np.zeros_like(p.values) for p in params])
 
 
-def adam_step(
-    params: list[Param], state: AdamState, lr: float, weight_decay: float = 0.0
-) -> None:
+def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: float) -> None:
     """Bias-corrected moment update; weight decay enters the gradient (L2)."""
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t

@@ -147,7 +147,7 @@ def test_criterion_6_olid_reproduction(tmp_path):
     token_lists = [corpus.tokenize(r.clean_text) for r in records]
     vocab = corpus.build_vocab(token_lists)
     ft = embeddings.train_cbow(token_lists, embeddings.NgramConfig(),
-                               embeddings.CbowTrainParams(seed=5))
+                               embeddings.CbowTrainParams(seed=5), dim=100)
     matrix = embeddings.build_embedding_matrix(vocab, ft)
 
     arch = model.ModelArch()

@@ -386,3 +386,41 @@ def test_unknown_task_is_named(tmp_path, capsys, command, task):
     assert cli.main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"data.task must be one of a, b, c, got {task!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("preprocess", "data.train_path", 0),
+    ("preprocess", "output.dir", 3),
+    ("train", "data.seed", -1),
+    ("train", "data.val_fraction", 0),
+    ("train", "resample.p_u", 1.5),
+    ("tune-pu", "baseline.grid", ["a"]),
+    ("tune-pu", "baseline.grid", 5),
+    ("tune-pu", "baseline.grid", []),
+    ("tune-pu", "baseline.grid", [True]),
+    ("tune-pu", "baseline.folds", 0),
+    ("tune-pu", "baseline.n_trees", 0),
+    ("tune-hparams", "hpo.n_init", 0),
+    ("tune-hparams", "hpo.n_iter", -1),
+    ("embed-train", "embeddings.dim", 0),
+    ("embed-train", "embeddings.epochs", 0),
+    ("embed-train", "embeddings.lr", -1),
+    ("embed-train", "embeddings.subsample", -1),
+    ("embed-train", "embeddings.window", 0),
+    ("embed-train", "embeddings.buckets", 0),
+    ("embed-train", "embeddings.min_ngram", 0),
+    ("train", "model.kernel", 20),
+    ("train", "model.batch_size", 0),
+    ("train", "model.max_epochs", 0),
+    ("train", "model.patience", 0),
+    ("train", "model.dropout", 1.0),
+    ("train", "model.weight_decay", -1),
+    ("train", "model.lr", float("nan")),
+    ("predict", "predict.vocab", 1),
+    ("evaluate", "evaluate.predictions", 2),
+])
+def test_bad_setting_is_named(tmp_path, capsys, command, key, value):
+    config, _ = write_config(tmp_path, **{key: value})
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config key {key} must " in err and "Traceback" not in err

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from offlang import corpus
+from offlang import corpus, nn
 from offlang.embeddings import (
     CbowTrainParams,
     FastTextModel,
     NgramConfig,
     build_embedding_matrix,
+    cbow_pair_loss,
     extract_ngrams,
     fnv1a_32,
     load_fasttext,
@@ -98,11 +99,11 @@ class TestWordVector:
 class TestTrainCbow:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            train_cbow([])
+            train_cbow([], NgramConfig(), CbowTrainParams(), dim=8)
 
     def test_single_token_documents_leave_model_at_init(self):
         params = CbowTrainParams(seed=4)
-        trained = train_cbow([["x"], ["y"], ["x"]], params=params, dim=8)
+        trained = train_cbow([["x"], ["y"], ["x"]], NgramConfig(), params, dim=8)
         fresh = FastTextModel.init(trained.tokens, 8, NgramConfig(), seed=4)
         assert np.array_equal(trained.word_in, fresh.word_in)
         assert np.array_equal(trained.bucket_vecs, fresh.bucket_vecs)
@@ -119,6 +120,32 @@ class TestTrainCbow:
 
     def test_negative_sampling_gradient_vs_finite_differences(self):
         assert check_cbow(seed=0) <= 1e-4
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_input_gradients_sum_every_occurrence_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        v, buckets, dim = 5, 7, 6
+        word_in, bucket_vecs, word_out = (rng.normal(size=(n, dim)) for n in (v, buckets, v))
+        ctx = [rng.integers(0, v + buckets, size=n) for n in (3, 5, 2, 6)]
+        # one id four times, in tokens of three lengths: twice within token 0,
+        # then in tokens 1 and 3, so its shares differ and the order matters
+        ctx[0][1] = ctx[1][2] = ctx[3][4] = ctx[0][0]
+        center, negs = 1, np.array([2, 4, 2])
+        _, (ids, grads), _ = cbow_pair_loss(word_in, bucket_vecs, word_out, ctx, center, negs)
+
+        # the forward and the per-occurrence accumulation, spelled out
+        rows = np.vstack([word_in, bucket_vecs])
+        h = np.array([rows[token].mean(axis=0) for token in ctx]).mean(axis=0)
+        targets = np.concatenate([[center], negs])
+        labels = np.r_[1.0, np.zeros(len(negs))]
+        grad_h = (nn.sigmoid(word_out[targets] @ h) - labels) @ word_out[targets]
+        expected = {}
+        for token in ctx:
+            share = grad_h / (len(ctx) * len(token))
+            for rid in token.tolist():
+                expected[rid] = expected[rid] + share if rid in expected else share
+        assert ids.tolist() == sorted(expected)
+        assert all(grad.tobytes() == expected[rid].tobytes() for rid, grad in zip(ids.tolist(), grads))
 
     def test_topic_clusters_separate(self):
         rng = np.random.default_rng(11)
@@ -240,7 +267,7 @@ class TestSaveLoad:
         save_fasttext(m, path)
         header = path.read_text().splitlines()[0]
         assert header == f"{len(m.tokens)} 30 6"
-        loaded = load_fasttext(path)
+        loaded = load_fasttext(path, NgramConfig())
         assert loaded.tokens == m.tokens
         assert np.array_equal(loaded.word_in, m.word_in)
         assert np.array_equal(loaded.bucket_vecs, m.bucket_vecs)
@@ -261,7 +288,7 @@ class TestSaveLoad:
         m.bucket_vecs[1, 2] = np.nan
         save_fasttext(m, tmp_path / "ft.txt")
         with pytest.raises(ValueError, match="line 5: non-finite"):
-            load_fasttext(tmp_path / "ft.txt")
+            load_fasttext(tmp_path / "ft.txt", NgramConfig())
 
     def test_repeated_token_names_path_and_line(self, tmp_path):
         m = FastTextModel.init(["x", "y"], 3, NgramConfig(buckets=5), seed=0)
@@ -269,7 +296,7 @@ class TestSaveLoad:
         save_fasttext(m, path)
         path.write_text(path.read_text().replace("\ny ", "\nx "))
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: repeated token 'x'")):
-            load_fasttext(path)
+            load_fasttext(path, NgramConfig())
 
     def test_non_numeric_component_names_path_and_line(self, tmp_path):
         m = FastTextModel.init(["x", "y"], 3, NgramConfig(buckets=5), seed=0)
@@ -279,7 +306,7 @@ class TestSaveLoad:
         lines[2] = "y x 0 0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: non-numeric vector component")):
-            load_fasttext(path)
+            load_fasttext(path, NgramConfig())
 
     @pytest.mark.parametrize("header", ["1 x 2", "-1 5 3", "1 5", "1 5 3 4"])
     def test_bad_header_names_path(self, tmp_path, header):
@@ -287,13 +314,13 @@ class TestSaveLoad:
         path.write_text(header + "\n", encoding="utf-8")
         message = f"{path}: fasttext header {header!r} is not three non-negative integers V B d"
         with pytest.raises(ValueError, match=re.escape(message)):
-            load_fasttext(path)
+            load_fasttext(path, NgramConfig())
 
     def test_header_larger_than_file_names_path_and_line(self, tmp_path):
         path = tmp_path / "ft.txt"
         path.write_text("1 1000000000000 2\nx 0.5 0.5\n0.5 0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: expected 2 components, got 1")):
-            load_fasttext(path)
+            load_fasttext(path, NgramConfig())
 
     def test_truncated_file_rejected(self, tmp_path):
         m = FastTextModel.init(["x"], 3, NgramConfig(buckets=5), seed=0)
@@ -302,4 +329,4 @@ class TestSaveLoad:
         lines = path.read_text().splitlines()
         (tmp_path / "bad.txt").write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError):
-            load_fasttext(tmp_path / "bad.txt")
+            load_fasttext(tmp_path / "bad.txt", NgramConfig())

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
+import resource
 import struct
 
 import numpy as np
@@ -62,6 +64,12 @@ class TestBuild:
     def test_layer_counts_match_summary_table(self):
         counts = [c for _, _, c in layer_param_counts(ModelArch(), 21_251)]
         assert counts == [2_125_100, 0, 234_496, 32_832, 0, 0, 0, 1_290, 11]
+
+    @pytest.mark.parametrize("arch", [SMALL, ModelArch(seq_len=5, embed_dim=3, hidden=2, kernel=3, filters=4,
+                                                       ffnn_hidden=6, output_units=3, use_user_count=True)])
+    def test_tensor_shapes_are_the_shapes_build_makes(self, arch):
+        built = build(arch, np.zeros((7, arch.embed_dim)), seed=0).tensors
+        assert list(model.tensor_shapes(arch, 7).items()) == [(name, p.values.shape) for name, p in built.items()]
 
     def test_user_count_variant_dense1(self):
         arch = ModelArch(use_user_count=True)
@@ -132,11 +140,11 @@ class TestForward:
 
         def loss():
             probs, _ = model._forward(params, idx, uc, False, None, 0.0)
-            return nn.bce_loss(probs, y)[0]
+            return nn.bce_loss(probs, y, None)[0]
 
         params.zero_grads()
         probs, cache = model._forward(params, idx, uc, False, None, 0.0)
-        _, dp = nn.bce_loss(probs, y)
+        _, dp = nn.bce_loss(probs, y, None)
         model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
         for p in params.all_params():
             assert max_rel_error(p.grad, numeric_gradient(loss, p.values)) <= 1e-4
@@ -215,13 +223,13 @@ class TestTrain:
             for _ in range(10):
                 params.zero_grads()
                 probs, cache = model._forward(params, idx, uc, False, None, 0.0)
-                loss, dp = nn.bce_loss(probs, y)
+                loss, dp = nn.bce_loss(probs, y, None)
                 if first is None:
                     first = loss
                 model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
-                nn.adam_step(params.all_params(), state, lr=0.001)
+                nn.adam_step(params.all_params(), state, lr=0.001, weight_decay=0.0)
             probs, _ = model._forward(params, idx, uc, False, None, 0.0)
-            final = nn.bce_loss(probs, y)[0]
+            final = nn.bce_loss(probs, y, None)[0]
             wins += final < first
         assert wins >= 9
 
@@ -418,3 +426,23 @@ def test_fuzzed_model_file_fails_loud_or_loads_the_same(saved_model, draw):
     header_end = len(model.MODEL_MAGIC) + 8 + struct.unpack("<Q", data[5:13])[0]
     i = draw.draw(st.integers(len(model.MODEL_MAGIC), header_end - 1))
     loads_the_same_or_fails_loud(params, data[:i] + bytes([draw.draw(st.integers(0, 255))]) + data[i + 1 :], path)
+
+
+def test_huge_arch_fails_before_allocating(tmp_path):
+    # a well-typed arch whose LSTM weights alone would take 320 GB; the
+    # address space is capped 1 GiB above what the process maps now, so any
+    # attempt to allocate them ends in MemoryError, not the named ModelError
+    path = tmp_path / "model.bin"
+    save_model(small_params(), "aaa", path)
+    path.write_bytes(set_arch("hidden", 100_000)(path.read_bytes()))
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + 2**30 if limits[1] == resource.RLIM_INFINITY else min(mapped + 2**30, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, limits[1]))
+    try:
+        with pytest.raises(ModelError) as err:
+            load_model(path, "aaa")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, limits)
+    assert str(err.value) == f"{path}: tensor lstm_fwd_wx has shape (24, 8), arch needs (400000, 8)"

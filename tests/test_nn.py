@@ -116,7 +116,7 @@ class TestSpatialDropout:
 
     def test_eval_mode_identity(self):
         xs = np.random.default_rng(0).normal(size=(2, 4, 3))
-        out, mask = nn.spatial_dropout_forward(xs, 0.9, False)
+        out, mask = nn.spatial_dropout_forward(xs, 0.9, False, None)
         assert out is xs and mask is None
 
     def test_invalid_rate(self):
@@ -186,21 +186,21 @@ class TestPooling:
 
 class TestLosses:
     def test_bce_analytic_values(self):
-        loss, _ = nn.bce_loss(np.array([1.0]), np.array([1.0]))
+        loss, _ = nn.bce_loss(np.array([1.0]), np.array([1.0]), None)
         assert loss == pytest.approx(0.0, abs=1e-5)
-        loss, _ = nn.bce_loss(np.array([0.5]), np.array([1.0]))
+        loss, _ = nn.bce_loss(np.array([0.5]), np.array([1.0]), None)
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_bce_class_weights_scale_loss(self):
         p = np.array([0.4, 0.4])
         y = np.array([1.0, 0.0])
-        base, _ = nn.bce_loss(p, y)
+        base, _ = nn.bce_loss(p, y, None)
         weighted, _ = nn.bce_loss(p, y, class_weights=np.array([2.0, 2.0]))
         assert weighted == pytest.approx(2 * base)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            nn.bce_loss(np.array([]), np.array([]))
+            nn.bce_loss(np.array([]), np.array([]), None)
 
     def test_soft_f1_perfect_predictions(self):
         y = np.array([1.0, 0.0, 1.0, 1.0])
@@ -215,7 +215,7 @@ class TestLosses:
     def test_categorical_ce_uniform(self):
         probs = np.full((1, 3), 1 / 3)
         onehot = np.array([[1.0, 0.0, 0.0]])
-        loss, _ = nn.categorical_ce_loss(probs, onehot)
+        loss, _ = nn.categorical_ce_loss(probs, onehot, None)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
     def test_softmax_backward_matches_finite_differences(self):
@@ -237,14 +237,14 @@ class TestAdam:
             p = nn.Param(np.array([1.0]))
             p.grad[:] = g
             state = nn.init_adam([p])
-            nn.adam_step([p], state, lr=0.01)
+            nn.adam_step([p], state, lr=0.01, weight_decay=0.0)
             step = abs(1.0 - p.values[0])
             assert 0.01 * g / (g + nn.ADAM_EPS) - 1e-15 <= step <= 0.01 + 1e-15
 
     def test_zero_gradient_no_move(self):
         p = nn.Param(np.array([2.0, -3.0]))
         state = nn.init_adam([p])
-        nn.adam_step([p], state, lr=0.1)
+        nn.adam_step([p], state, lr=0.1, weight_decay=0.0)
         assert np.array_equal(p.values, np.array([2.0, -3.0]))
 
     def test_quadratic_convergence(self):
@@ -254,7 +254,7 @@ class TestAdam:
         for _ in range(200):
             p.zero_grad()
             p.grad[:] = 2 * (p.values - 3.0)
-            nn.adam_step([p], state, lr=0.1)
+            nn.adam_step([p], state, lr=0.1, weight_decay=0.0)
         assert abs(p.values[0] - 3.0) < 0.1
 
     def test_weight_decay_enters_gradient(self):
