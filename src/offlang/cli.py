@@ -76,9 +76,11 @@ def _runner(command):
 
     def run_command(args) -> int:
         config = load_config(args.config)
+        seed = args.seed if args.seed is not None else _at_least(config, "data.seed", 0, 0)
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         out = Path(_scalar(config, "output.dir", str))
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else _at_least(config, "data.seed", 0, 0)
         run = Run(args, config, seed, out)
         command(run)
         payload = {

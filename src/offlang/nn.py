@@ -29,9 +29,6 @@ class Param:
     def size(self) -> int:
         return self.values.size
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def copy(self) -> "Param":
         return Param(self.values.copy())
 
@@ -53,12 +50,11 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without masks: min(x, -x)
+    # is -x or x exactly, so the result matches the two branches bit for bit
+    # (-|x| would too, but flips the sign bit of a NaN)
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (e + 1.0)
 
 
 def sigmoid_backward(dy: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -390,17 +386,26 @@ def init_adam(params: list[Param]) -> AdamState:
     return AdamState([np.zeros_like(p.values) for p in params], [np.zeros_like(p.values) for p in params])
 
 
-def adam_step(params: list[Param], state: AdamState, lr: float, weight_decay: float) -> None:
-    """Bias-corrected moment update; weight decay enters the gradient (L2)."""
+def adam_step(params: list[Param], rows: list, state: AdamState, lr: float, weight_decay: float) -> None:
+    """Bias-corrected moment update of rows `rows[i]` of `params[i]`
+    (`slice(None)` for all of them); weight decay enters the gradient (L2).
+
+    The rows left out keep their values and moments. That is exactly what
+    the full update gives a row whose gradient, moments and weight decay are
+    all zero (Kingma & Ba 2015, Alg. 1), so skipping such rows changes no bit.
+    """
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad
+    for p, r, m, v in zip(params, rows, state.m, state.v):
+        # a slice gives views, updated in place, and the write-back below is
+        # then a no-op; an index array gives copies, which it writes back
+        values, g, mr, vr = p.values[r], p.grad[r], m[r], v[r]
         if weight_decay:
-            g = g + weight_decay * p.values
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            g = g + weight_decay * values
+        mr *= ADAM_BETA1
+        mr += (1.0 - ADAM_BETA1) * g
+        vr *= ADAM_BETA2
+        vr += (1.0 - ADAM_BETA2) * g * g
+        values -= lr * (mr / c1) / (np.sqrt(vr / c2) + ADAM_EPS)
+        p.values[r], m[r], v[r] = values, mr, vr

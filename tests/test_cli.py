@@ -424,3 +424,10 @@ def test_bad_setting_is_named(tmp_path, capsys, command, key, value):
     assert cli.main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"error: config key {key} must " in err and "Traceback" not in err
+
+
+def test_negative_seed_flag_is_named(tmp_path, capsys):
+    config, _ = write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "error: --seed must be >= 0, got -1" in err and "Traceback" not in err

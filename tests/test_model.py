@@ -142,7 +142,6 @@ class TestForward:
             probs, _ = model._forward(params, idx, uc, False, None, 0.0)
             return nn.bce_loss(probs, y, None)[0]
 
-        params.zero_grads()
         probs, cache = model._forward(params, idx, uc, False, None, 0.0)
         _, dp = nn.bce_loss(probs, y, None)
         model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
@@ -204,6 +203,71 @@ class TestTrain:
         with pytest.raises(ModelError, match="epoch 1, step 1"):
             train(build(arch, matrix, seed=1), examples[:32], examples[32:], TrainConfig(seed=1))
 
+    @pytest.mark.parametrize("name", ["embedding", "lstm_bwd_wh", "out_b"])
+    def test_non_finite_gradient_names_the_tensor(self, monkeypatch, name):
+        backward = model._backward
+
+        def poisoned(params, dz2, cache):
+            backward(params, dz2, cache)
+            grad = params.tensors[name].grad
+            (grad[cache[0][0, 0]] if name == "embedding" else grad).flat[-1] = np.inf  # a row the batch wrote
+
+        monkeypatch.setattr(model, "_backward", poisoned)
+        examples = random_examples(SMALL, 12, 40, seed=4)
+        with pytest.raises(ModelError, match=f"non-finite gradient in {name} at epoch 1, step 1$"):
+            train(small_params(), examples[:32], examples[32:], TrainConfig(seed=1))
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("vocab_size", [45, 200])
+    def test_row_skip_matches_full_update(self, monkeypatch, vocab_size, weight_decay):
+        """Adam on the embedding rows hit so far, and zeroing only the rows the
+        last batch wrote, give the bytes of the full update and full zeroing,
+        also once the hit rows pass ADAM_GATHER_MAX_SHARE of the table."""
+        examples = random_examples(SMALL, 20, 80, seed=4)  # 2 examples hit about 13 of rows 0..19
+        config = TrainConfig(batch_size=2, max_epochs=2, patience=2, seed=3, weight_decay=weight_decay)
+        adam_step, backward = nn.adam_step, model._backward
+        gathered = []
+
+        def recorded_adam(params, rows, *rest):
+            gathered.append(not isinstance(rows[0], slice))  # rows[0] are the embedding's
+            adam_step(params, rows, *rest)
+
+        def full_adam(params, rows, *rest):
+            adam_step(params, [slice(None)] * len(rows), *rest)
+
+        def zeroed_backward(params, dz2, cache):
+            for p in params.all_params():
+                p.grad[...] = 0.0
+            backward(params, dz2, cache)
+
+        runs = []
+        for patches in ([(nn, "adam_step", recorded_adam)],
+                        [(nn, "adam_step", full_adam), (model, "_backward", zeroed_backward)]):
+            for target, name, value in patches:
+                monkeypatch.setattr(target, name, value)
+            params = small_params(vocab_size=vocab_size, seed=3)
+            best, history = train(params, examples[:64], examples[64:], config)
+            runs.append(([p.tobytes() for p in params.snapshot() + best.snapshot()], history))
+        assert runs[0] == runs[1]
+        # gathered while at most a third of the rows were hit and no decay is on, full after
+        if weight_decay:
+            assert not any(gathered)
+        elif vocab_size == 200:
+            assert all(gathered)
+        else:
+            assert gathered[0] and not gathered[-1] and gathered == sorted(gathered, reverse=True)
+
+    def test_rows_no_example_indexes_move_only_with_weight_decay(self):
+        examples = random_examples(SMALL, 20, 80, seed=4)  # rows 20..199 are never indexed
+        initial = small_params(vocab_size=200).embedding.values
+        for weight_decay in (0.0, 1e-4):
+            params = small_params(vocab_size=200)
+            config = TrainConfig(batch_size=4, max_epochs=2, seed=3, weight_decay=weight_decay)
+            train(params, examples[:64], examples[64:], config)
+            moved = (params.embedding.values != initial).any(axis=1)
+            assert moved[:20].all()
+            assert (moved[20:] == bool(weight_decay)).all(), weight_decay
+
     def test_keyword_task_reaches_95(self):
         arch, matrix, examples = self._dataset(n=2000, seed=3)
         params = build(arch, matrix, seed=1)
@@ -221,13 +285,15 @@ class TestTrain:
             first = None
             state = nn.init_adam(params.all_params())
             for _ in range(10):
-                params.zero_grads()
+                for p in params.all_params():
+                    p.grad[...] = 0.0
                 probs, cache = model._forward(params, idx, uc, False, None, 0.0)
                 loss, dp = nn.bce_loss(probs, y, None)
                 if first is None:
                     first = loss
                 model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
-                nn.adam_step(params.all_params(), state, lr=0.001, weight_decay=0.0)
+                nn.adam_step(params.all_params(), [slice(None)] * len(params.tensors), state,
+                             lr=0.001, weight_decay=0.0)
             probs, _ = model._forward(params, idx, uc, False, None, 0.0)
             final = nn.bce_loss(probs, y, None)[0]
             wins += final < first

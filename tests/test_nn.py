@@ -32,6 +32,16 @@ class TestActivations:
         out = nn.sigmoid(np.array([-1000.0, 1000.0]))
         assert np.isfinite(out).all()
 
+    def test_sigmoid_equals_the_masked_formula_bit_for_bit(self):
+        special = [0.0, -0.0, 40.0, -40.0, 750.0, -750.0, np.inf, -np.inf, np.nan, -np.nan]
+        x = np.concatenate([np.random.default_rng(0).normal(0.0, 20.0, 100_000), special])
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert nn.sigmoid(x).tobytes() == expected.tobytes()
+
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
     def test_softmax_sums_to_one(self, logits):
         out = nn.softmax(np.array(logits))
@@ -237,14 +247,14 @@ class TestAdam:
             p = nn.Param(np.array([1.0]))
             p.grad[:] = g
             state = nn.init_adam([p])
-            nn.adam_step([p], state, lr=0.01, weight_decay=0.0)
+            nn.adam_step([p], [slice(None)], state, lr=0.01, weight_decay=0.0)
             step = abs(1.0 - p.values[0])
             assert 0.01 * g / (g + nn.ADAM_EPS) - 1e-15 <= step <= 0.01 + 1e-15
 
     def test_zero_gradient_no_move(self):
         p = nn.Param(np.array([2.0, -3.0]))
         state = nn.init_adam([p])
-        nn.adam_step([p], state, lr=0.1, weight_decay=0.0)
+        nn.adam_step([p], [slice(None)], state, lr=0.1, weight_decay=0.0)
         assert np.array_equal(p.values, np.array([2.0, -3.0]))
 
     def test_quadratic_convergence(self):
@@ -252,13 +262,35 @@ class TestAdam:
         p = nn.Param(np.array([0.0]))
         state = nn.init_adam([p])
         for _ in range(200):
-            p.zero_grad()
             p.grad[:] = 2 * (p.values - 3.0)
-            nn.adam_step([p], state, lr=0.1, weight_decay=0.0)
+            nn.adam_step([p], [slice(None)], state, lr=0.1, weight_decay=0.0)
         assert abs(p.values[0] - 3.0) < 0.1
+
+    def test_row_subset_equals_full_update_when_the_rest_is_zero(self):
+        rng = np.random.default_rng(0)
+        dense = rng.normal(size=(3, 2))
+        table = rng.normal(size=(10, 3))
+        rows = np.array([1, 4, 5, 8])
+        full = [nn.Param(dense.copy()), nn.Param(table.copy())]
+        part = [p.copy() for p in full]
+        full_state, part_state = nn.init_adam(full), nn.init_adam(part)
+        for _ in range(5):
+            # a row of the subset may get no gradient in a step, as a row hit
+            # by an earlier batch only does
+            grads = [rng.normal(size=dense.shape), np.zeros(table.shape)]
+            grads[1][rows] = rng.normal(size=(len(rows), 3)) * (rng.random((len(rows), 1)) < 0.6)
+            for params in (full, part):
+                for p, g in zip(params, grads):
+                    p.grad[...] = g
+            nn.adam_step(full, [slice(None), slice(None)], full_state, lr=0.01, weight_decay=0.0)
+            nn.adam_step(part, [slice(None), rows], part_state, lr=0.01, weight_decay=0.0)
+        assert not np.array_equal(part[1].values[rows], table[rows])
+        for a, b in zip([*(p.values for p in full), *full_state.m, *full_state.v],
+                        [*(p.values for p in part), *part_state.m, *part_state.v]):
+            assert a.tobytes() == b.tobytes()
 
     def test_weight_decay_enters_gradient(self):
         p = nn.Param(np.array([10.0]))
         state = nn.init_adam([p])
-        nn.adam_step([p], state, lr=0.01, weight_decay=0.1)
+        nn.adam_step([p], [slice(None)], state, lr=0.01, weight_decay=0.1)
         assert p.values[0] < 10.0  # pure decay moves the weight toward zero
