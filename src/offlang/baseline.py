@@ -4,7 +4,7 @@ with Gini splits, and cross-validated selection of the resampling fraction.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,16 +26,19 @@ def bow_matrix(token_lists: Sequence[list[str]], vocab: Vocabulary) -> np.ndarra
 
 
 @dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    class_counts: Optional[np.ndarray] = None  # leaf distribution
+class Tree:
+    """A fitted tree as flat arrays indexed by node, the root at 0.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    `left`/`right` hold child indices and are -1 at leaves; rows with
+    `X[:, feature] <= threshold` go left. `label` is each node's majority
+    class (lowest on ties), which its leaves predict.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, n_classes: int):
@@ -43,59 +46,71 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, n_classes: i
 
     Thresholds are midpoints between consecutive distinct sorted values;
     returns (feature, threshold, weighted_impurity) or None when every
-    candidate feature is constant.
+    candidate feature is constant. The first feature in `features` order
+    wins ties, and a later one must beat the best cost by more than 1e-12.
     """
     n = y.shape[0]
+    block = X[:, features].T  # one candidate per row
+    varies = np.flatnonzero(block.min(axis=1) != block.max(axis=1))
+    if not varies.size:
+        return None
+    block = block[varies]
+    order = np.argsort(block, axis=1, kind="stable")
+    sv = np.take_along_axis(block, order, axis=1)
+    c, i = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split candidate c after its sorted value i
+    # (candidates, classes, n) class counts of the first i+1 sorted values
+    prefix = np.cumsum(y[order][:, None, :] == np.arange(n_classes)[:, None], axis=2)
+
+    left_counts = prefix[c, :, i]
+    right_counts = prefix[c, :, -1] - left_counts
+    n_left = left_counts.sum(axis=1)
+    n_right = n - n_left
+    gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+    cost = np.full(sv[:, 1:].shape, np.inf)
+    cost[c, i] = (n_left * gini_left + n_right * gini_right) / n
+    at = cost.argmin(axis=1)  # each candidate's first best split
+
     best = None
     best_cost = np.inf
-    for f in features:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        sy = y[order]
-        distinct = np.flatnonzero(sv[1:] != sv[:-1])  # split after index i
-        if distinct.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sy] = 1.0
-        prefix = np.cumsum(onehot, axis=0)  # class counts of the first i+1 rows
-        total = prefix[-1]
-
-        left_counts = prefix[distinct]
-        right_counts = total - left_counts
-        n_left = left_counts.sum(axis=1)
-        n_right = n - n_left
-        gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-        cost = (n_left * gini_left + n_right * gini_right) / n
-
-        j = int(cost.argmin())
-        if cost[j] < best_cost - 1e-12:
-            best_cost = float(cost[j])
-            threshold = (sv[distinct[j]] + sv[distinct[j] + 1]) / 2.0
-            best = (int(f), float(threshold), best_cost)
+    for col, j in enumerate(at):  # in draw order
+        if cost[col, j] < best_cost - 1e-12:
+            best_cost = float(cost[col, j])
+            threshold = (sv[col, j] + sv[col, j + 1]) / 2.0
+            best = (int(features[varies[col]]), float(threshold), best_cost)
     return best
 
 
-def _grow_tree(X, y, rng: np.random.Generator, max_features: int, n_classes: int) -> TreeNode:
-    counts = np.bincount(y, minlength=n_classes)
-    if y.shape[0] < 2 or counts.max() == y.shape[0]:
-        return TreeNode(class_counts=counts)
-    features = rng.choice(X.shape[1], size=max_features, replace=False)
-    split = _best_split(X, y, features, n_classes)
-    if split is None:
-        return TreeNode(class_counts=counts)
-    feature, threshold, _ = split
-    mask = X[:, feature] <= threshold
-    node = TreeNode(feature=feature, threshold=threshold, class_counts=counts)
-    node.left = _grow_tree(X[mask], y[mask], rng, max_features, n_classes)
-    node.right = _grow_tree(X[~mask], y[~mask], rng, max_features, n_classes)
-    return node
+def _grow_tree(X, y, rows, rng: np.random.Generator, max_features: int, n_classes: int) -> Tree:
+    """One tree over the rows `rows` of X (repeats allowed). Nodes are
+    row-index arrays on a stack, right child pushed first, so the feature
+    draws and node numbers follow preorder and depth is unbounded."""
+    nodes = []  # [feature, threshold, left, right, label] per node
+    stack = [(rows, None, 0)]  # (node rows, parent node, its slot for this child)
+    while stack:
+        rows, parent, slot = stack.pop()
+        if parent is not None:
+            parent[slot] = len(nodes)
+        node_y = y[rows]
+        counts = np.bincount(node_y, minlength=n_classes)
+        node = [-1, 0.0, -1, -1, int(counts.argmax())]
+        nodes.append(node)
+        if rows.shape[0] < 2 or counts.max() == rows.shape[0]:
+            continue
+        features = rng.choice(X.shape[1], size=max_features, replace=False)
+        split = _best_split(X[np.ix_(rows, features)], node_y, np.arange(max_features), n_classes)
+        if split is None:
+            continue
+        col, threshold, _ = split
+        node[:2] = int(features[col]), threshold
+        mask = X[rows, node[0]] <= threshold
+        stack += [(rows[~mask], node, 3), (rows[mask], node, 2)]
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     n_classes: int
 
 
@@ -117,14 +132,21 @@ def train_forest(X: np.ndarray, y: Sequence[int], n_trees: int, seed: int) -> Fo
     for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)
         rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(_grow_tree(X[rows], y[rows], rng, max_features, n_classes))
+        trees.append(_grow_tree(X, y, rows, rng, max_features, n_classes))
     return ForestModel(trees=trees, n_classes=n_classes)
 
 
-def _tree_predict(node: TreeNode, row: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return int(node.class_counts.argmax())
+def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf labels of every row of X, moving all rows down one level per pass."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0])
+    while rows.size:
+        at = node[rows]
+        inner = tree.left[at] >= 0
+        rows, at = rows[inner], at[inner]
+        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.label[node]
 
 
 def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -133,9 +155,9 @@ def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
         raise ValueError("empty forest")
     X = np.asarray(X)
     votes = np.zeros((X.shape[0], model.n_classes), dtype=int)
+    rows = np.arange(X.shape[0])
     for tree in model.trees:
-        for i in range(X.shape[0]):
-            votes[i, _tree_predict(tree, X[i])] += 1
+        votes[rows, _tree_predict(tree, X)] += 1
     return votes.argmax(axis=1)
 
 

@@ -208,15 +208,19 @@ def _forward(params: ModelParams, idx, uc, train: bool, rng, dropout_rate: float
     return probs, cache
 
 
-def _backward(params: ModelParams, dz2: np.ndarray, cache) -> None:
-    arch = params.arch
-    idx, mask, bi_cache, conv_cache, mx_cache, av_shape, z1, d1_cache, d2_cache = cache
+def _head_backward(params: ModelParams, dz2: np.ndarray, cache) -> np.ndarray:
+    """Gradients of the dense head; returns the gradient of the pooled features."""
+    *_, z1, d1_cache, d2_cache = cache
     da1 = nn.dense_backward(dz2, d2_cache)
     dz1 = nn.relu_backward(da1, z1)
     dfeat = nn.dense_backward(dz1, d1_cache)
-    if arch.use_user_count:
-        dfeat = dfeat[:, :-1]
-    f = arch.filters
+    return dfeat[:, :-1] if params.arch.use_user_count else dfeat
+
+
+def _backward(params: ModelParams, dz2: np.ndarray, cache) -> None:
+    idx, mask, bi_cache, conv_cache, mx_cache, av_shape, *_ = cache
+    dfeat = _head_backward(params, dz2, cache)
+    f = params.arch.filters
     dconv = nn.global_max_pool_backward(dfeat[:, :f], mx_cache)
     dconv += nn.global_avg_pool_backward(dfeat[:, f:], av_shape)
     dbi = nn.conv1d_backward(dconv, conv_cache)
@@ -333,13 +337,14 @@ def train(
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size), start=1):
             sel = order[start : start + config.batch_size]
-            for name, p in params.tensors.items():
+            for name, p in trainable.items():
                 p.grad[grad_rows[name]] = 0.0
             probs, cache = _forward(params, idx[sel], uc[sel], True, rng, config.dropout)
             loss, dz2 = _loss_and_dz(probs, y[sel], config, arch.output_units, class_weights)
             if not np.isfinite(loss):
                 raise ModelError(f"non-finite training loss {loss} at epoch {epoch}, step {step}")
-            _backward(params, dz2, cache)
+            # a frozen trunk needs no gradient, so its backward is skipped
+            (_head_backward if config.freeze_trunk else _backward)(params, dz2, cache)
             grad_rows["embedding"] = np.unique(idx[sel])
             for name, p in trainable.items():
                 # one sum per tensor: any inf or nan in it makes the sum non-finite

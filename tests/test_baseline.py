@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from offlang import corpus
 from offlang.baseline import (
     ForestModel,
-    TreeNode,
+    Tree,
     _best_split,
     bow_matrix,
     cv_select_pu,
@@ -129,12 +130,74 @@ class TestForest:
         assert wins >= 9
 
 
+def forest_case(kind, n_classes, seed):
+    """Seeded train/test data: X continuous or Poisson counts, labels from a noisy linear score."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        X = rng.normal(size=(110, 16))
+    else:
+        X = rng.poisson(0.7, size=(110, 16)).astype(float if kind == "float counts" else np.int32)
+    score = X @ rng.normal(size=16) + rng.normal(size=110)
+    y = np.digitize(score, np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]))
+    return X[:80], y[:80], X[80:]
+
+
+# predict_forest(train_forest(X, y, n_trees=7, seed=seed), X_test) of the
+# recursive, node-object forest that the flat trees replaced
+PINNED_PREDICTIONS = [
+    (("normal", 2, 0), "111101001110100100010110110000"),
+    (("normal", 2, 1), "000110100001111100010010111110"),
+    (("normal", 3, 0), "222211110020120221120220121012"),
+    (("normal", 3, 1), "011111101102012100011121122001"),
+    (("float counts", 2, 0), "100100101110001000110010100011"),
+    (("float counts", 2, 1), "110011111100100101001011001110"),
+    (("float counts", 3, 0), "011110202210021002010221110022"),
+    (("float counts", 3, 1), "210011112010200122102112002011"),
+    (("int32 counts", 2, 0), "100100101110001000110010100011"),
+    (("int32 counts", 2, 1), "110011111100100101001011001110"),
+    (("int32 counts", 3, 0), "011110202210021002010221110022"),
+    (("int32 counts", 3, 1), "210011112010200122102112002011"),
+]
+
+
+class TestFlatTrees:
+    @pytest.mark.parametrize("case, expected", PINNED_PREDICTIONS)
+    def test_seeded_predictions_pinned(self, case, expected):
+        kind, n_classes, seed = case
+        X, y, X_test = forest_case(kind, n_classes, seed)
+        pred = predict_forest(train_forest(X, y, n_trees=7, seed=seed), X_test)
+        assert "".join(map(str, pred)) == expected
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        # each feature is nonzero in one row only, so every split peels off one row
+        X = np.eye(800)
+        y = np.arange(800) % 2
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            forest = train_forest(X, y, n_trees=1, seed=0)
+            pred = predict_forest(forest, X)
+        finally:
+            sys.setrecursionlimit(limit)
+        tree = forest.trees[0]
+        depth = np.zeros(len(tree.left), dtype=int)
+        for node in np.flatnonzero(tree.left >= 0):  # preorder: a parent comes before its children
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+        assert depth.max() > 300
+
+        def walk(row):
+            node = 0
+            while tree.left[node] >= 0:
+                node = tree.left[node] if row[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+            return tree.label[node]
+
+        assert pred.tolist() == [walk(row) for row in X]
+
+
 class TestPredictVotes:
     @staticmethod
-    def _leaf_tree(label, k=2):
-        counts = np.zeros(k)
-        counts[label] = 1
-        return TreeNode(class_counts=counts)
+    def _leaf_tree(label):
+        return Tree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([label]))
 
     def test_majority(self):
         forest = ForestModel([self._leaf_tree(1), self._leaf_tree(1), self._leaf_tree(0)], 2)

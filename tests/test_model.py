@@ -349,6 +349,37 @@ class TestTransfer:
         with pytest.raises(ModelError):
             transfer(small_params(), "a", seed=0)
 
+    @pytest.mark.parametrize("task", ["b", "c"])
+    def test_frozen_trunk_skips_the_trunk_backward(self, monkeypatch, task):
+        """A frozen trunk trains without the BiLSTM and conv backward, to the
+        bytes that training with the full backward gives."""
+        examples = random_examples(SMALL, 12, 40, seed=4, k=3 if task == "c" else 1)
+        config = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=3, freeze_trunk=True)
+        source = small_params(seed=2)
+        head_backward, full_backward = model._head_backward, model._backward
+
+        def head_then_trunk(params, dz2, cache):  # the full backward, which frozen training used to run
+            dfeat = head_backward(params, dz2, cache)
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "_head_backward", lambda *args: dfeat)
+                full_backward(params, dz2, cache)
+            return dfeat
+
+        runs = []
+        with monkeypatch.context() as patch:
+            for name in ("bilstm_backward", "conv1d_backward"):
+                patch.setattr(nn, name, lambda *args: pytest.fail("trunk backward ran"))
+            runs.append(train(transfer(source, task, seed=9), examples[:32], examples[32:], config))
+        monkeypatch.setattr(model, "_head_backward", head_then_trunk)
+        runs.append(train(transfer(source, task, seed=9), examples[:32], examples[32:], config))
+
+        (frozen, history), (reference, reference_history) = runs
+        assert history == reference_history
+        assert [p.tobytes() for p in frozen.snapshot()] == [p.tobytes() for p in reference.snapshot()]
+        for name in model.TRUNK_NAMES:
+            assert np.array_equal(frozen.tensors[name].values, source.tensors[name].values)
+        assert not np.array_equal(frozen.out_w.values, transfer(source, task, seed=9).out_w.values)
+
 
 class TestSaveLoad:
     def test_roundtrip_forward_bitwise(self, tmp_path):
