@@ -78,26 +78,19 @@ class FastTextModel:
 
     A word's representation is the mean of its word input vector (when in
     vocabulary) and its n-gram bucket vectors, so out-of-vocabulary words
-    still get vectors through their subwords.
+    still get vectors through their subwords. `inputs` holds the V word rows,
+    then the B bucket rows, so a constituent id is a row number; `word_in` and
+    `bucket_vecs` are views of the two parts.
     """
 
-    def __init__(
-        self,
-        tokens: list[str],
-        dim: int,
-        cfg: NgramConfig,
-        word_in: np.ndarray,
-        bucket_vecs: np.ndarray,
-        word_out: np.ndarray,
-    ):
+    def __init__(self, tokens: list[str], dim: int, cfg: NgramConfig, inputs: np.ndarray, word_out: np.ndarray):
         self.tokens = tokens
         self.token_to_id = {t: i for i, t in enumerate(tokens)}
         self.dim = dim
         self.cfg = cfg
-        self.word_in = word_in
-        self.bucket_vecs = bucket_vecs
+        self.inputs = inputs
+        self.word_in, self.bucket_vecs = inputs[: len(tokens)], inputs[len(tokens) :]
         self.word_out = word_out
-        # virtual row ids: word rows are [0, V), bucket rows [V, V+B)
         self._constituents = [
             np.array([i] + [len(tokens) + b for b in extract_ngrams(t, cfg)])
             for i, t in enumerate(tokens)
@@ -107,10 +100,8 @@ class FastTextModel:
     def init(cls, tokens, dim, cfg, seed) -> "FastTextModel":
         rng = np.random.default_rng(seed)
         scale = 0.5 / dim
-        word_in = rng.uniform(-scale, scale, size=(len(tokens), dim))
-        bucket_vecs = rng.uniform(-scale, scale, size=(cfg.buckets, dim))
-        word_out = np.zeros((len(tokens), dim))
-        return cls(tokens, dim, cfg, word_in, bucket_vecs, word_out)
+        inputs = rng.uniform(-scale, scale, size=(len(tokens) + cfg.buckets, dim))
+        return cls(tokens, dim, cfg, inputs, np.zeros((len(tokens), dim)))
 
     def constituent_ids(self, word: str) -> np.ndarray:
         wid = self.token_to_id.get(word)
@@ -125,11 +116,11 @@ class FastTextModel:
         ids = self.constituent_ids(word)
         if len(ids) == 0:
             raise ValueError(f"word {word!r} has no vector constituents")
-        return _gather(self.word_in, self.bucket_vecs, ids).mean(axis=0)
+        return self.inputs[ids].mean(axis=0)
 
 
 def _gather(word_in: np.ndarray, bucket_vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Input rows of virtual ids: word rows are [0, V), bucket rows [V, V+B)."""
+    """Input rows of constituent ids: word rows are [0, V), bucket rows [V, V+B)."""
     v = len(word_in)
     rows = np.empty((len(ids), word_in.shape[1]))
     word = ids < v
@@ -149,14 +140,16 @@ def cbow_pair_loss(
     """Negative-sampling loss and gradients for one (context, center) pair.
 
     The hidden vector is the mean over context tokens of each token's mean
-    constituent row. Returns (loss, (ids, input_grads), (targets,
-    output_grads)): `ids` are the distinct virtual input-row ids, sorted, with
-    their summed gradient rows; `targets` are the output rows, repeats kept.
+    constituent row, taken as one weighted sum over the occurrences. Returns
+    (loss, (ids, input_grads), (targets, output_grads)): `ids` are the
+    context's constituent ids in order, each occurrence with its weighted
+    share of the hidden gradient; `targets` are the output rows. Both keep
+    repeats, for `np.subtract.at` to apply each occurrence in turn.
     """
-    lens = np.array([len(ids) for ids in context_constituents])
-    flat = np.concatenate(context_constituents)
-    rows = _gather(word_in, bucket_vecs, flat)
-    h = np.array([rows[end - n : end].mean(axis=0) for n, end in zip(lens, np.cumsum(lens))]).mean(axis=0)
+    lens = [len(ids) for ids in context_constituents]
+    ids = np.concatenate(context_constituents)
+    weights = np.repeat(1.0 / (len(lens) * np.array(lens)), lens)
+    h = weights @ _gather(word_in, bucket_vecs, ids)
 
     targets = np.concatenate([[center_id], negative_ids]).astype(int)
     labels = np.zeros(len(targets))
@@ -168,17 +161,7 @@ def cbow_pair_loss(
 
     dscores = probs - labels
     grad_h = dscores @ word_out[targets]
-    output_grads = (targets, dscores[:, None] * h)
-
-    # each occurrence gets its token's share of grad_h; np.add.at adds an id's later
-    # shares to its first in occurrence order (np.add.reduceat does not add in order)
-    shares = grad_h / (len(lens) * lens)[:, None]
-    order = np.argsort(flat, kind="stable")
-    ids, token = flat[order], np.repeat(np.arange(len(lens)), lens)[order]
-    first = np.r_[True, ids[1:] != ids[:-1]]
-    grads = shares[token[first]]
-    np.add.at(grads, np.cumsum(first)[~first] - 1, shares[token[~first]])
-    return loss, (ids[first], grads), output_grads
+    return loss, (ids, weights[:, None] * grad_h), (targets, dscores[:, None] * h)
 
 
 def train_cbow(
@@ -207,8 +190,6 @@ def train_cbow(
     total_tokens = total * params.epochs
 
     rng = np.random.default_rng(params.seed)
-    v = len(tokens)
-    word_in, bucket_vecs, word_out = model.word_in, model.bucket_vecs, model.word_out
     processed = 0
     for _ in range(params.epochs):
         for sent in sentences:
@@ -225,13 +206,10 @@ def train_cbow(
                 negs = negs[negs != center]
                 ctx_ids = [model._constituents[c] for c in context]
                 _, (ids, grads), (targets, out_grads) = cbow_pair_loss(
-                    word_in, bucket_vecs, word_out, ctx_ids, center, negs)
-                # negatives may repeat; subtract.at accumulates duplicates
-                np.subtract.at(word_out, targets, alpha * out_grads)
-                # the input ids are distinct and sorted, word rows first
-                split = np.searchsorted(ids, v)
-                word_in[ids[:split]] -= alpha * grads[:split]
-                bucket_vecs[ids[split:] - v] -= alpha * grads[split:]
+                    model.word_in, model.bucket_vecs, model.word_out, ctx_ids, center, negs)
+                # negatives and constituent ids may repeat; subtract.at applies each occurrence
+                np.subtract.at(model.word_out, targets, alpha * out_grads)
+                np.subtract.at(model.inputs, ids, alpha * grads)
     return model
 
 
@@ -350,6 +328,5 @@ def load_fasttext(path, cfg: NgramConfig) -> FastTextModel:
             rows = [_vector(_split_line(fh.readline()), dim, line_no) for line_no in range(v + 2, v + buckets + 2)]
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    word_in = np.array(list(words.values())).reshape(v, dim)
-    bucket_vecs = np.array(rows).reshape(buckets, dim)
-    return FastTextModel(list(words), dim, cfg, word_in, bucket_vecs, np.zeros((v, dim)))
+    inputs = np.array([*words.values(), *rows]).reshape(v + buckets, dim)
+    return FastTextModel(list(words), dim, cfg, inputs, np.zeros((v, dim)))

@@ -168,21 +168,18 @@ def check_soft_f1(seed: int) -> float:
 def check_cbow(seed: int) -> float:
     rng = np.random.default_rng(seed)
     v, buckets, dim = 6, 10, 5
-    word_in = rng.normal(scale=0.5, size=(v, dim))
-    bucket_vecs = rng.normal(scale=0.5, size=(buckets, dim))
+    inputs = rng.normal(scale=0.5, size=(v + buckets, dim))  # word rows, then bucket rows
     word_out = rng.normal(scale=0.5, size=(v, dim))
     # two context tokens sharing one bucket row exercises grad accumulation
     ctx = [np.array([0, v + 1, v + 2]), np.array([3, v + 2])]
     center, negs = 4, np.array([1, 5, 1])  # duplicate negative on purpose
-    args = (word_in, bucket_vecs, word_out, ctx, center, negs)
+    args = (inputs[:v], inputs[v:], word_out, ctx, center, negs)
 
     _, (ids, grads), (targets, out_grads) = cbow_pair_loss(*args)
-    analytic_rows = np.zeros((v + buckets, dim))  # virtual ids: bucket rows after word rows
-    analytic_rows[ids] = grads
-    analytic_out = np.zeros_like(word_out)
+    analytic_in, analytic_out = np.zeros_like(inputs), np.zeros_like(word_out)
+    np.add.at(analytic_in, ids, grads)
     np.add.at(analytic_out, targets, out_grads)
-    return _worst(lambda: cbow_pair_loss(*args)[0],
-                  [(analytic_rows[:v], word_in), (analytic_rows[v:], bucket_vecs), (analytic_out, word_out)])
+    return _worst(lambda: cbow_pair_loss(*args)[0], [(analytic_in, inputs), (analytic_out, word_out)])
 
 
 @dataclass

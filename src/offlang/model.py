@@ -114,13 +114,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, {name: p.copy() for name, p in self.tensors.items()})
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.values.copy() for p in self.all_params()]
-
-    def restore(self, snapshot: list[np.ndarray]) -> None:
-        for p, values in zip(self.all_params(), snapshot):
-            p.values[...] = values
-
 
 def tensor_shapes(arch: ModelArch, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """The shape of every tensor `build` makes, by name, without making them."""
@@ -173,7 +166,7 @@ def build(arch: ModelArch, embedding_matrix: np.ndarray, seed: int) -> ModelPara
     lstm_bwd = nn.init_lstm_params(rng, arch.embed_dim, arch.hidden)
     two_h = 2 * arch.hidden
     kernel = nn.glorot_uniform(rng, (arch.kernel, two_h, arch.filters), arch.kernel * two_h, arch.filters)
-    trunk = [nn.Param(matrix.copy()), *lstm_fwd.params(), *lstm_bwd.params(),
+    trunk = [nn.Param(matrix), *lstm_fwd.params(), *lstm_bwd.params(),
              nn.Param(kernel), nn.Param(np.zeros(arch.filters))]
     return ModelParams(arch, {**dict(zip(TRUNK_NAMES, trunk)), **_init_head(arch, rng)})
 
@@ -322,7 +315,6 @@ def train(
     state = nn.init_adam(list(trainable.values()))
     rng = np.random.default_rng(config.seed)
     stopper = EarlyStopper(config.patience)
-    best_snapshot = params.snapshot()
     history: list[EpochStats] = []
     # The gradient entries the last step wrote, zeroed by the next one: the
     # batch's rows of the embedding, all of every other tensor.
@@ -364,12 +356,10 @@ def train(
 
         improved, stop = stopper.update(val_acc)
         if improved:
-            best_snapshot = params.snapshot()
+            best = params.copy()
         if stop:
             break
 
-    best = params.copy()
-    best.restore(best_snapshot)
     return best, history
 
 
@@ -471,6 +461,6 @@ def load_model(path, expected_vocab_hash: str) -> tuple[ModelParams, str]:
         for name, shape in manifest:
             if shape != expected[name]:
                 raise ModelError(f"{path}: tensor {name} has shape {shape}, arch needs {expected[name]}")
-        arrays = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-                  for name, shape in manifest}
-    return ModelParams(arch, {name: nn.Param(values) for name, values in arrays.items()}), vocab_hash
+        tensors = {name: nn.Param(np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape))
+                   for name, shape in manifest}
+    return ModelParams(arch, tensors), vocab_hash

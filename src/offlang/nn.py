@@ -19,10 +19,11 @@ ADAM_EPS = 1e-7
 
 
 class Param:
-    """A trainable tensor with a zero-initialized gradient buffer."""
+    """A trainable tensor with a zero-initialized gradient buffer. It owns a
+    copy of `values`, so in-place updates never reach the caller's array."""
 
     def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=np.float64)
+        self.values = np.array(values, dtype=np.float64)
         self.grad = np.zeros_like(self.values)
 
     @property
@@ -30,7 +31,7 @@ class Param:
         return self.values.size
 
     def copy(self) -> "Param":
-        return Param(self.values.copy())
+        return Param(self.values)
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:

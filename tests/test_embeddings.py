@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import re
@@ -96,6 +97,23 @@ class TestWordVector:
         assert np.allclose(m.word_vector("zzz"), expected)
 
 
+class TestInputMatrix:
+    def test_merge_keeps_the_init_draws_views_and_saved_bytes(self, tmp_path):
+        tokens, dim, cfg = ["red", "blue", "green"], 4, NgramConfig(buckets=11)
+        m = FastTextModel.init(tokens, dim, cfg, seed=5)
+        rng = np.random.default_rng(5)
+        scale = 0.5 / dim
+        # the two draws of the two-array model: word rows, then bucket rows
+        drawn = [rng.uniform(-scale, scale, size=(n, dim)) for n in (len(tokens), cfg.buckets)]
+        assert m.inputs.tobytes() == np.vstack(drawn).tobytes()
+        assert np.shares_memory(m.word_in, m.inputs) and np.shares_memory(m.bucket_vecs, m.inputs)
+        assert m.word_in.shape == (3, dim) and m.bucket_vecs.shape == (11, dim)
+        save_fasttext(m, tmp_path / "ft.txt")
+        # sha256 of the file the two-array model saved
+        digest = hashlib.sha256((tmp_path / "ft.txt").read_bytes()).hexdigest()
+        assert digest == "8e09412002ec4a570b0d320ec51371f635b7f888e234c5aa4d3b0e68cc865210"
+
+
 class TestTrainCbow:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -124,28 +142,43 @@ class TestTrainCbow:
     @pytest.mark.parametrize("seed", range(20))
     def test_input_gradients_sum_every_occurrence_in_order(self, seed):
         rng = np.random.default_rng(seed)
-        v, buckets, dim = 5, 7, 6
+        v, buckets, dim, alpha = 5, 7, 6, 0.025
         word_in, bucket_vecs, word_out = (rng.normal(size=(n, dim)) for n in (v, buckets, v))
         ctx = [rng.integers(0, v + buckets, size=n) for n in (3, 5, 2, 6)]
         # one id four times, in tokens of three lengths: twice within token 0,
         # then in tokens 1 and 3, so its shares differ and the order matters
         ctx[0][1] = ctx[1][2] = ctx[3][4] = ctx[0][0]
         center, negs = 1, np.array([2, 4, 2])
-        _, (ids, grads), _ = cbow_pair_loss(word_in, bucket_vecs, word_out, ctx, center, negs)
 
-        # the forward and the per-occurrence accumulation, spelled out
+        # the update of the two-array trainer, spelled out: h as the mean of
+        # token means, each distinct id's shares summed in occurrence order,
+        # then one subtract per distinct row, word rows and bucket rows apart
         rows = np.vstack([word_in, bucket_vecs])
         h = np.array([rows[token].mean(axis=0) for token in ctx]).mean(axis=0)
         targets = np.concatenate([[center], negs])
-        labels = np.r_[1.0, np.zeros(len(negs))]
-        grad_h = (nn.sigmoid(word_out[targets] @ h) - labels) @ word_out[targets]
-        expected = {}
+        dscores = nn.sigmoid(word_out[targets] @ h) - np.r_[1.0, np.zeros(len(negs))]
+        grad_h = dscores @ word_out[targets]
+        summed = {}
         for token in ctx:
             share = grad_h / (len(ctx) * len(token))
             for rid in token.tolist():
-                expected[rid] = expected[rid] + share if rid in expected else share
-        assert ids.tolist() == sorted(expected)
-        assert all(grad.tobytes() == expected[rid].tobytes() for rid, grad in zip(ids.tolist(), grads))
+                summed[rid] = summed[rid] + share if rid in summed else share
+        ref_word_in, ref_buckets, ref_out = word_in.copy(), bucket_vecs.copy(), word_out.copy()
+        np.subtract.at(ref_out, targets, alpha * dscores[:, None] * h)
+        for rid in sorted(summed):
+            if rid < v:
+                ref_word_in[rid] -= alpha * summed[rid]
+            else:
+                ref_buckets[rid - v] -= alpha * summed[rid]
+
+        # the one-matrix update: every occurrence applied in turn by one scatter
+        inputs, out = rows.copy(), word_out.copy()
+        _, (ids, grads), (targets, out_grads) = cbow_pair_loss(inputs[:v], inputs[v:], out, ctx, center, negs)
+        assert ids.tolist() == np.concatenate(ctx).tolist()
+        np.subtract.at(out, targets, alpha * out_grads)
+        np.subtract.at(inputs, ids, alpha * grads)
+        for new, ref in ((inputs[:v], ref_word_in), (inputs[v:], ref_buckets), (out, ref_out)):
+            assert np.abs(new - ref).max() <= 1e-12
 
     def test_topic_clusters_separate(self):
         rng = np.random.default_rng(11)

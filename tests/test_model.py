@@ -247,7 +247,7 @@ class TestTrain:
                 monkeypatch.setattr(target, name, value)
             params = small_params(vocab_size=vocab_size, seed=3)
             best, history = train(params, examples[:64], examples[64:], config)
-            runs.append(([p.tobytes() for p in params.snapshot() + best.snapshot()], history))
+            runs.append(([p.values.tobytes() for p in params.all_params() + best.all_params()], history))
         assert runs[0] == runs[1]
         # gathered while at most a third of the rows were hit and no decay is on, full after
         if weight_decay:
@@ -375,7 +375,7 @@ class TestTransfer:
 
         (frozen, history), (reference, reference_history) = runs
         assert history == reference_history
-        assert [p.tobytes() for p in frozen.snapshot()] == [p.tobytes() for p in reference.snapshot()]
+        assert [p.values.tobytes() for p in frozen.all_params()] == [p.values.tobytes() for p in reference.all_params()]
         for name in model.TRUNK_NAMES:
             assert np.array_equal(frozen.tensors[name].values, source.tensors[name].values)
         assert not np.array_equal(frozen.out_w.values, transfer(source, task, seed=9).out_w.values)

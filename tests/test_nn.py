@@ -271,7 +271,7 @@ class TestAdam:
         dense = rng.normal(size=(3, 2))
         table = rng.normal(size=(10, 3))
         rows = np.array([1, 4, 5, 8])
-        full = [nn.Param(dense.copy()), nn.Param(table.copy())]
+        full = [nn.Param(dense), nn.Param(table)]
         part = [p.copy() for p in full]
         full_state, part_state = nn.init_adam(full), nn.init_adam(part)
         for _ in range(5):
@@ -288,6 +288,14 @@ class TestAdam:
         for a, b in zip([*(p.values for p in full), *full_state.m, *full_state.v],
                         [*(p.values for p in part), *part_state.m, *part_state.v]):
             assert a.tobytes() == b.tobytes()
+
+    def test_param_owns_its_values(self):
+        a = np.array([1.0, -2.0])
+        p = nn.Param(a)
+        p.grad[:] = 1.0
+        nn.adam_step([p], [slice(None)], nn.init_adam([p]), lr=0.1, weight_decay=0.0)
+        assert not np.array_equal(p.values, a)
+        assert a.tolist() == [1.0, -2.0]
 
     def test_weight_decay_enters_gradient(self):
         p = nn.Param(np.array([10.0]))
