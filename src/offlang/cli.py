@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -256,8 +257,8 @@ def cmd_resample_report(run: Run) -> None:
     task = run.task
     labels = [r.label_for(task) for r in corpus.filter_task(run.records(), task)]
     p_u = _p_u(run)
-    before = resample.class_counts(labels)
-    after = resample.class_counts([labels[row] for row in resample.rebalance(labels, p_u, run.seed)])
+    before = Counter(labels)
+    after = Counter(labels[row] for row in resample.rebalance(labels, p_u, run.seed))
     rows = resample.resample_report(before, after)
     lines = ["class\tbefore\tafter"] + [f"{c}\t{b}\t{a}" for c, b, a in rows]
     (run.out / "resample_report.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -284,8 +285,6 @@ def cmd_train(run: Run) -> None:
 
 
 def cmd_transfer(run: Run) -> None:
-    if run.task not in ("b", "c"):
-        raise ConfigError("transfer targets task b or c")
     vocab = corpus.Vocabulary.load(_scalar(run.config, "transfer.vocab", str))
     source, _ = model.load_model(_scalar(run.config, "transfer.source_model", str), vocab.content_hash())
     best = _fit(run, model.transfer(source, run.task, run.seed), run.records(), vocab)

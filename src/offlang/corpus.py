@@ -79,13 +79,6 @@ def tokenize(clean_text: str) -> list[str]:
     return clean_text.split()
 
 
-def _normalize_task(task: str) -> str:
-    t = task.lower()
-    if t not in TASK_LABELS:
-        raise CorpusError(f"unknown task {task!r}; expected one of a, b, c")
-    return t
-
-
 def _check_hierarchy(record: TweetRecord, line_no: int) -> None:
     if record.label_b is not None and record.label_a != "OFF":
         raise CorpusError(
@@ -158,7 +151,6 @@ def parse_olid(stream: IO[str]) -> list[TweetRecord]:
 
 def filter_task(records: Iterable[TweetRecord], task: str) -> list[TweetRecord]:
     """Keep only records labeled for `task`."""
-    task = _normalize_task(task)
     return [r for r in records if r.label_for(task) is not None]
 
 
@@ -166,18 +158,9 @@ class Vocabulary:
     """Token <-> index bijection with PAD=0 and UNK=1 reserved."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self.index_to_token: list[str] = [PAD_TOKEN, UNK_TOKEN]
-        self.token_to_index: dict[str, int] = {PAD_TOKEN: 0, UNK_TOKEN: 1}
-        for tok in tokens:
-            self.add(tok)
-
-    def add(self, token: str) -> int:
-        idx = self.token_to_index.get(token)
-        if idx is None:
-            idx = len(self.index_to_token)
-            self.token_to_index[token] = idx
-            self.index_to_token.append(token)
-        return idx
+        # distinct tokens in first-occurrence order, after the reserved two
+        self.index_to_token: list[str] = list(dict.fromkeys([PAD_TOKEN, UNK_TOKEN, *tokens]))
+        self.token_to_index: dict[str, int] = {tok: i for i, tok in enumerate(self.index_to_token)}
 
     @property
     def size(self) -> int:
@@ -202,19 +185,12 @@ class Vocabulary:
             tokens = [line.rstrip("\n") for line in fh]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise CorpusError(f"{path}: not a vocabulary file (missing PAD/UNK rows)")
-        vocab = cls()
-        for tok in tokens[2:]:
-            vocab.add(tok)
-        return vocab
+        return cls(tokens[2:])
 
 
 def build_vocab(token_lists: Iterable[list[str]]) -> Vocabulary:
     """Vocabulary over distinct tokens in first-occurrence order (min freq 1)."""
-    vocab = Vocabulary()
-    for tokens in token_lists:
-        for tok in tokens:
-            vocab.add(tok)
-    return vocab
+    return Vocabulary(tok for tokens in token_lists for tok in tokens)
 
 
 def encode(tokens: list[str], vocab: Vocabulary, length: int) -> list[int]:
@@ -257,7 +233,6 @@ def encode_records(
 
 def label_indices(records: Iterable[TweetRecord], task: str) -> np.ndarray:
     """Each record's position of its `task` label in TASK_LABELS[task]."""
-    task = _normalize_task(task)
     names = TASK_LABELS[task]
     out = []
     for r in records:
@@ -272,7 +247,6 @@ def user_count_stats(
     records: Iterable[TweetRecord], task: str
 ) -> dict[str, tuple[float, float]]:
     """Per-class (mean, population std) of user_count for `task`."""
-    task = _normalize_task(task)
     by_class: dict[str, list[int]] = {name: [] for name in TASK_LABELS[task]}
     for r in records:
         label = r.label_for(task)

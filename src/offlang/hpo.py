@@ -75,8 +75,7 @@ def expected_improvement(mean, variance, best_so_far):
     z = np.divide(improve, sigma, out=np.zeros_like(mean), where=sigma > 0)
     with np.errstate(invalid="ignore"):
         ei = np.where(sigma > 0, improve * _Phi(z) + sigma * _phi(z), ei)
-    ei = np.maximum(ei, 0.0)
-    return float(ei) if ei.ndim == 0 else ei
+    return np.maximum(ei, 0.0)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
@@ -118,8 +117,6 @@ class GpSurrogate:
         mean = self.y_mean + self.y_scale * (k_star @ self.alpha)
         v = np.linalg.solve(self.chol, k_star.T)
         var = self.y_scale**2 * np.clip(1.0 - (v * v).sum(axis=0), 0.0, None)
-        if np.ndim(points) == 1:
-            return float(mean[0]), float(var[0])
         return mean, var
 
 

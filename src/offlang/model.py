@@ -17,7 +17,12 @@ from .corpus import Examples
 from .metrics import accuracy, confusion, prf_macro
 
 MODEL_MAGIC = b"OFLG1"
-PREDICT_BATCH = 256  # rows per inference forward pass
+# Rows per inference forward pass. `_forward` keeps its backward caches (every
+# LSTM step's gates and states), which grow with the rows in a pass: on a
+# V=21,229 model, 1,000 rows of 63 tokens, one BLAS thread, the tracemalloc
+# peak of `_predict_proba_arrays` was 572 MiB at 256 rows and 72 MiB at 32,
+# and 32 rows took 2.3-2.8 s against 2.6-2.9 s.
+PREDICT_BATCH = 32
 # Adam gathers the embedding rows hit so far while they are at most this share
 # of the table. Past it the gather and write-back cost more than the full
 # in-place update: on a 21,229 x 100 table, one BLAS thread, the gather path
@@ -179,12 +184,13 @@ def _init_head(arch: ModelArch, rng: np.random.Generator) -> dict[str, nn.Param]
     return dict(zip(HEAD_NAMES, head))
 
 
-def _forward(params: ModelParams, idx, uc, train: bool, rng, dropout_rate: float):
+def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float):
+    """Class probabilities and the backward cache; dropout runs only with an rng."""
     arch = params.arch
     if idx.max(initial=0) >= params.embedding.values.shape[0]:
         raise ModelError("token index out of embedding range")
     emb = params.embedding.values[idx]
-    dropped, mask = nn.spatial_dropout_forward(emb, dropout_rate, train, rng)
+    dropped, mask = nn.spatial_dropout_forward(emb, dropout_rate, rng)
     bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"))
     conv, conv_cache = nn.conv1d_forward(bi, params.conv_kernel, params.conv_bias)
     mx, mx_cache = nn.global_max_pool_forward(conv)
@@ -228,7 +234,7 @@ def _predict_proba_arrays(params: ModelParams, idx, uc):
     chunks = []
     for start in range(0, len(idx), PREDICT_BATCH):
         rows = slice(start, start + PREDICT_BATCH)
-        probs, _ = _forward(params, idx[rows], uc[rows], train=False, rng=None, dropout_rate=0.0)
+        probs, _ = _forward(params, idx[rows], uc[rows], None, 0.0)
         chunks.append(probs)
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
@@ -331,7 +337,7 @@ def train(
             sel = order[start : start + config.batch_size]
             for name, p in trainable.items():
                 p.grad[grad_rows[name]] = 0.0
-            probs, cache = _forward(params, idx[sel], uc[sel], True, rng, config.dropout)
+            probs, cache = _forward(params, idx[sel], uc[sel], rng, config.dropout)
             loss, dz2 = _loss_and_dz(probs, y[sel], config, arch.output_units, class_weights)
             if not np.isfinite(loss):
                 raise ModelError(f"non-finite training loss {loss} at epoch {epoch}, step {step}")
@@ -375,7 +381,6 @@ def transfer(source: ModelParams, task: str, seed: int) -> ModelParams:
 
     All layers stay trainable; freezing the trunk is a TrainConfig choice.
     """
-    task = task.lower()
     if task not in ("b", "c"):
         raise ModelError(f"transfer targets task b or c, got {task!r}")
     arch = replace(source.arch, output_units=1 if task == "b" else 3)

@@ -205,18 +205,16 @@ def bilstm_backward(dys: np.ndarray, cache) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spatial dropout
 
-def spatial_dropout_forward(xs: np.ndarray, rate: float, train: bool, rng: np.random.Generator | None):
+def spatial_dropout_forward(xs: np.ndarray, rate: float, rng: np.random.Generator | None):
     """Channel dropout with one mask shared across all timesteps.
 
-    Kept channels are scaled by 1/(1-rate); evaluation mode is the identity.
-    Input is (B, T, C); each example draws its own mask.
+    Kept channels are scaled by 1/(1-rate); without an rng (inference) it is
+    the identity. Input is (B, T, C); each example draws its own mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return xs, None
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     mask = (rng.random((xs.shape[0], 1, xs.shape[2])) >= rate) / (1.0 - rate)
     return xs * mask, mask
 

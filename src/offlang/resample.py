@@ -28,13 +28,6 @@ def target_count(counts: dict[Hashable, int], p_u: float) -> int:
     return int(math.floor(lo + (1.0 - p_u) * (hi - lo) + 0.5))
 
 
-def class_counts(labels: Sequence[Hashable]) -> dict[Hashable, int]:
-    counts: dict[Hashable, int] = defaultdict(int)
-    for y in labels:
-        counts[y] += 1
-    return dict(counts)
-
-
 def rebalance(labels: Sequence[Hashable], p_u: float, seed: int) -> np.ndarray:
     """Row positions that resample `labels` so every class has exactly the
     target count.

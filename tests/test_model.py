@@ -139,10 +139,10 @@ class TestForward:
         idx, uc, y = examples.indices, examples.user_count, examples.label
 
         def loss():
-            probs, _ = model._forward(params, idx, uc, False, None, 0.0)
+            probs, _ = model._forward(params, idx, uc, None, 0.0)
             return nn.bce_loss(probs, y, None)[0]
 
-        probs, cache = model._forward(params, idx, uc, False, None, 0.0)
+        probs, cache = model._forward(params, idx, uc, None, 0.0)
         _, dp = nn.bce_loss(probs, y, None)
         model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
         for p in params.all_params():
@@ -158,6 +158,19 @@ class TestPredict:
 
     def test_tie_goes_to_lowest_index(self):
         assert labels_from_probs(np.array([[0.5, 0.5, 0.0]])).tolist() == [0]
+
+    def test_chunk_size_does_not_change_predictions(self, monkeypatch):
+        arch = dataclasses.replace(SMALL, output_units=3, use_user_count=True)
+        params = small_params(arch)
+        examples = random_examples(arch, 12, 303, seed=5, k=3)
+        results = []
+        for batch in (7, 32, 256):
+            monkeypatch.setattr(model, "PREDICT_BATCH", batch)
+            results.append(proba(params, examples))
+        for probs in results[1:]:
+            assert probs.shape == (303, 3)
+            assert np.array_equal(labels_from_probs(probs), labels_from_probs(results[0]))
+            assert np.abs(probs - results[0]).max() <= 1e-12
 
 
 class TestEarlyStopping:
@@ -287,14 +300,14 @@ class TestTrain:
             for _ in range(10):
                 for p in params.all_params():
                     p.grad[...] = 0.0
-                probs, cache = model._forward(params, idx, uc, False, None, 0.0)
+                probs, cache = model._forward(params, idx, uc, None, 0.0)
                 loss, dp = nn.bce_loss(probs, y, None)
                 if first is None:
                     first = loss
                 model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
                 nn.adam_step(params.all_params(), [slice(None)] * len(params.tensors), state,
                              lr=0.001, weight_decay=0.0)
-            probs, _ = model._forward(params, idx, uc, False, None, 0.0)
+            probs, _ = model._forward(params, idx, uc, None, 0.0)
             final = nn.bce_loss(probs, y, None)[0]
             wins += final < first
         assert wins >= 9

@@ -121,21 +121,21 @@ class TestBilstm:
 class TestSpatialDropout:
     def test_rate_zero_identity(self):
         xs = np.random.default_rng(0).normal(size=(2, 4, 3))
-        out, mask = nn.spatial_dropout_forward(xs, 0.0, True, np.random.default_rng(1))
+        out, mask = nn.spatial_dropout_forward(xs, 0.0, np.random.default_rng(1))
         assert out is xs and mask is None
 
     def test_eval_mode_identity(self):
         xs = np.random.default_rng(0).normal(size=(2, 4, 3))
-        out, mask = nn.spatial_dropout_forward(xs, 0.9, False, None)
+        out, mask = nn.spatial_dropout_forward(xs, 0.9, None)
         assert out is xs and mask is None
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            nn.spatial_dropout_forward(np.zeros((1, 2, 2)), 1.0, True, np.random.default_rng(0))
+            nn.spatial_dropout_forward(np.zeros((1, 2, 2)), 1.0, np.random.default_rng(0))
 
     def test_mask_shared_across_time_and_scaled(self):
         xs = np.ones((1, 6, 16))
-        out, _ = nn.spatial_dropout_forward(xs, 0.5, True, np.random.default_rng(0))
+        out, _ = nn.spatial_dropout_forward(xs, 0.5, np.random.default_rng(0))
         # each channel is all-zero or uniformly 2x across every timestep
         per_channel = out[0]
         assert set(np.unique(per_channel)) <= {0.0, 2.0}
@@ -147,7 +147,7 @@ class TestSpatialDropout:
         total = np.zeros(8)
         n = 10_000
         for _ in range(n):
-            out, _ = nn.spatial_dropout_forward(xs, 0.5, True, rng)
+            out, _ = nn.spatial_dropout_forward(xs, 0.5, rng)
             total += out[0, 0]
         assert np.abs(total / n - 1.0).max() <= 0.02
 
