@@ -41,16 +41,16 @@ class Tree:
     label: np.ndarray
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, n_classes: int):
-    """Greedy Gini split over the candidate features.
+def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
+    """Greedy Gini split over the columns of X.
 
     Thresholds are midpoints between consecutive distinct sorted values;
-    returns (feature, threshold, weighted_impurity) or None when every
-    candidate feature is constant. The first feature in `features` order
-    wins ties, and a later one must beat the best cost by more than 1e-12.
+    returns (column, threshold, weighted_impurity) or None when every
+    column is constant. The first column wins ties, and a later one must
+    beat the best cost by more than 1e-12.
     """
     n = y.shape[0]
-    block = X[:, features].T  # one candidate per row
+    block = X.T  # one candidate per row, a view
     varies = np.flatnonzero(block.min(axis=1) != block.max(axis=1))
     if not varies.size:
         return None
@@ -73,11 +73,11 @@ def _best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray, n_classes: i
 
     best = None
     best_cost = np.inf
-    for col, j in enumerate(at):  # in draw order
+    for col, j in enumerate(at):  # in column order
         if cost[col, j] < best_cost - 1e-12:
             best_cost = float(cost[col, j])
             threshold = (sv[col, j] + sv[col, j + 1]) / 2.0
-            best = (int(features[varies[col]]), float(threshold), best_cost)
+            best = (int(varies[col]), float(threshold), best_cost)
     return best
 
 
@@ -98,12 +98,14 @@ def _grow_tree(X, y, rows, rng: np.random.Generator, max_features: int, n_classe
         if rows.shape[0] < 2 or counts.max() == rows.shape[0]:
             continue
         features = rng.choice(X.shape[1], size=max_features, replace=False)
-        split = _best_split(X[np.ix_(rows, features)], node_y, np.arange(max_features), n_classes)
+        # gathered feature-major, so that each candidate's values are contiguous
+        block = X.T[np.ix_(features, rows)].T
+        split = _best_split(block, node_y, n_classes)
         if split is None:
             continue
         col, threshold, _ = split
         node[:2] = int(features[col]), threshold
-        mask = X[rows, node[0]] <= threshold
+        mask = block[:, col] <= threshold
         stack += [(rows[~mask], node, 3), (rows[mask], node, 2)]
     return Tree(*(np.array(column) for column in zip(*nodes)))
 

@@ -123,20 +123,25 @@ def _at_least(config: dict, dotted: str, default: int, low: int) -> int:
     return value
 
 
+# `_section`'s `fixed` fields, set by the run, and the settings they come from
+_RUN_SET = {"model.seed": "data.seed or --seed", "embeddings.seed": "data.seed or --seed",
+            "model.embed_dim": "embeddings.dim", "model.output_units": "the task"}
+
+
 def _section(config: dict, name: str, cls, **fixed):
     """`cls` from config section `name`: each field the section sets, read
-    by `_scalar` against the field's default, plus the `fixed` fields. The
-    defaults and range checks live on `cls` alone; a check's message starts
-    with its field's name."""
+    by `_scalar` against the field's default, plus the `fixed` fields, which
+    the section must not set. The defaults and range checks live on `cls`
+    alone; a check's message starts with its field's name."""
     section = cfg(config, name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config key {name!r} must be an object")
-    values = dict(fixed)
-    for f in fields(cls):
-        if f.name not in fixed and f.name in section:
-            values[f.name] = _scalar(config, f"{name}.{f.name}", f.default)
+    for key in fixed:
+        if key in section:
+            raise ConfigError(f"config key {name}.{key} must not be set; {_RUN_SET[f'{name}.{key}']} supplies it")
+    values = {f.name: _scalar(config, f"{name}.{f.name}", f.default) for f in fields(cls) if f.name in section}
     try:
-        return cls(**values)
+        return cls(**fixed, **values)
     except ValueError as exc:
         raise ConfigError(f"config key {name}.{exc}") from None
 
@@ -285,8 +290,9 @@ def cmd_train(run: Run) -> None:
 
 
 def cmd_transfer(run: Run) -> None:
+    model.check_transfer_task(run.task)
     vocab = corpus.Vocabulary.load(_scalar(run.config, "transfer.vocab", str))
-    source, _ = model.load_model(_scalar(run.config, "transfer.source_model", str), vocab.content_hash())
+    source = model.load_model(_scalar(run.config, "transfer.source_model", str), vocab.content_hash())
     best = _fit(run, model.transfer(source, run.task, run.seed), run.records(), vocab)
     print(
         f"transferred to task {run.task}: best epoch {best.epoch}, "
@@ -297,7 +303,7 @@ def cmd_transfer(run: Run) -> None:
 def cmd_predict(run: Run) -> None:
     task = run.task
     vocab = corpus.Vocabulary.load(_scalar(run.config, "predict.vocab", str))
-    params, _ = model.load_model(_scalar(run.config, "predict.model", str), vocab.content_hash())
+    params = model.load_model(_scalar(run.config, "predict.model", str), vocab.content_hash())
     records = run.records("data.test_path")
     names = corpus.TASK_LABELS[task]
     labels = model.predict(params, *corpus.encode_records(records, vocab, params.arch.seq_len))

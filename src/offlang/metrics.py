@@ -22,7 +22,6 @@ def confusion(y_true: Sequence[int], y_pred: Sequence[int], k: int) -> np.ndarra
 
 @dataclass
 class MetricsReport:
-    confusion: np.ndarray
     precision: np.ndarray
     recall: np.ndarray
     f1: np.ndarray
@@ -82,7 +81,6 @@ def prf_macro(
     recall = _safe_divide(tp, actual, "recall")
     f1 = _safe_divide(2 * precision * recall, precision + recall, "f1")
     return MetricsReport(
-        confusion=cm,
         precision=precision,
         recall=recall,
         f1=f1,

@@ -68,7 +68,7 @@ class TrainConfig:
     max_epochs: int = 10
     patience: int = 2
     seed: int = 0
-    loss: str = "cross_entropy"  # cross_entropy | weighted_cross_entropy | soft_f1
+    loss: str = "cross_entropy"  # cross_entropy | soft_f1
     freeze_trunk: bool = False
 
     def __post_init__(self):
@@ -81,8 +81,8 @@ class TrainConfig:
             raise ModelError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.loss not in ("cross_entropy", "weighted_cross_entropy", "soft_f1"):
-            raise ModelError(f"loss must be cross_entropy, weighted_cross_entropy or soft_f1, got {self.loss!r}")
+        if self.loss not in ("cross_entropy", "soft_f1"):
+            raise ModelError(f"loss must be cross_entropy or soft_f1, got {self.loss!r}")
 
 
 TRUNK_NAMES = (
@@ -281,20 +281,20 @@ def _onehot(y: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _loss_and_dz(probs, y_batch, config: TrainConfig, k: int, class_weights):
+def _loss_and_dz(probs, y_batch, config: TrainConfig, k: int):
     """Loss on the probabilities, chained back to the logit gradient."""
     if k == 1:
         if config.loss == "soft_f1":
             loss, dp = nn.soft_f1_loss(probs, y_batch)
         else:
-            loss, dp = nn.bce_loss(probs, y_batch, class_weights)
+            loss, dp = nn.bce_loss(probs, y_batch, None)
         dz = nn.sigmoid_backward(dp, probs)
         return loss, dz[:, None]
     onehot = _onehot(y_batch, k)
     if config.loss == "soft_f1":
         loss, dprobs = nn.soft_f1_loss(probs, onehot)
     else:
-        loss, dprobs = nn.categorical_ce_loss(probs, onehot, class_weights)
+        loss, dprobs = nn.categorical_ce_loss(probs, onehot, None)
     return loss, nn.softmax_backward(dprobs, probs)
 
 
@@ -312,10 +312,6 @@ def train(
     arch = params.arch
     idx, uc, y = train_set.indices, train_set.user_count, train_set.label
     n_classes = max(arch.output_units, 2)
-
-    class_weights = None
-    if config.loss == "weighted_cross_entropy":
-        class_weights = nn.balanced_class_weights(y, n_classes)
 
     trainable = {name: params.tensors[name] for name in (HEAD_NAMES if config.freeze_trunk else TENSOR_NAMES)}
     state = nn.init_adam(list(trainable.values()))
@@ -338,7 +334,7 @@ def train(
             for name, p in trainable.items():
                 p.grad[grad_rows[name]] = 0.0
             probs, cache = _forward(params, idx[sel], uc[sel], rng, config.dropout)
-            loss, dz2 = _loss_and_dz(probs, y[sel], config, arch.output_units, class_weights)
+            loss, dz2 = _loss_and_dz(probs, y[sel], config, arch.output_units)
             if not np.isfinite(loss):
                 raise ModelError(f"non-finite training loss {loss} at epoch {epoch}, step {step}")
             # a frozen trunk needs no gradient, so its backward is skipped
@@ -376,13 +372,18 @@ def write_history_csv(history: Sequence[EpochStats], path) -> None:
             fh.write(f"{h.epoch},{h.train_loss:.10f},{h.val_accuracy:.10f},{h.val_macro_f1:.10f}\n")
 
 
+def check_transfer_task(task: str) -> None:
+    """Transfer heads exist for tasks b and c; task a would get a 3-unit head."""
+    if task not in ("b", "c"):
+        raise ModelError(f"transfer targets task b or c, got {task!r}")
+
+
 def transfer(source: ModelParams, task: str, seed: int) -> ModelParams:
     """Reuse the embedding/BiLSTM/conv trunk; fresh dense head for the task.
 
     All layers stay trainable; freezing the trunk is a TrainConfig choice.
     """
-    if task not in ("b", "c"):
-        raise ModelError(f"transfer targets task b or c, got {task!r}")
+    check_transfer_task(task)
     arch = replace(source.arch, output_units=1 if task == "b" else 3)
     trunk = {name: source.tensors[name].copy() for name in TRUNK_NAMES}
     return ModelParams(arch, {**trunk, **_init_head(arch, np.random.default_rng(seed))})
@@ -422,7 +423,7 @@ def _arch(values: dict) -> ModelArch:
     return arch
 
 
-def load_model(path, expected_vocab_hash: str) -> tuple[ModelParams, str]:
+def load_model(path, expected_vocab_hash: str) -> ModelParams:
     """Read a saved model; errors on a malformed header, a length or shape
     that does not fit the bytes left in the file, trailing bytes, tensors
     that do not fit the arch, or a vocabulary hash mismatch."""
@@ -468,4 +469,4 @@ def load_model(path, expected_vocab_hash: str) -> tuple[ModelParams, str]:
                 raise ModelError(f"{path}: tensor {name} has shape {shape}, arch needs {expected[name]}")
         tensors = {name: nn.Param(np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape))
                    for name, shape in manifest}
-    return ModelParams(arch, tensors), vocab_hash
+    return ModelParams(arch, tensors)

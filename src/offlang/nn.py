@@ -51,11 +51,11 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without masks: min(x, -x)
-    # is -x or x exactly, so the result matches the two branches bit for bit
-    # (-|x| would too, but flips the sign bit of a NaN)
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without masks: min(x, -x) is
+    # -x or x exactly (-|x| would flip a NaN's sign bit), and max(e, x >= 0) is 1
+    # where x >= 0 (e <= 1 there) and e elsewhere: the two branches, bit for bit
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (e + 1.0)
+    return np.maximum(e, x >= 0) / (e + 1.0)
 
 
 def sigmoid_backward(dy: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -360,15 +360,6 @@ def soft_f1_loss(probs: np.ndarray, labels: np.ndarray):
     if binary:
         return loss, dmat[:, 1] - dmat[:, 0]
     return loss, dmat
-
-
-def balanced_class_weights(labels: np.ndarray, k: int) -> np.ndarray:
-    """w_c = N / (k * n_c): up-weights minority classes in the loss."""
-    labels = np.asarray(labels, dtype=int)
-    counts = np.bincount(labels, minlength=k).astype(float)
-    if (counts == 0).any():
-        raise ValueError("every class needs at least one example for weighting")
-    return labels.size / (k * counts)
 
 
 # ---------------------------------------------------------------------------

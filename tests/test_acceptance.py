@@ -228,7 +228,7 @@ def test_criterion_9_random_forest_baseline():
         rng = np.random.default_rng(100 + seed)
         Xs = rng.integers(0, 4, size=(12, 3)).astype(float)
         ys = rng.integers(0, 2, size=12)
-        got = _best_split(Xs, ys, np.arange(3), n_classes=2)
+        got = _best_split(Xs, ys, n_classes=2)
         expected = brute_force_best_split(Xs, ys)
         if expected is None:
             oracle_ok &= got is None

@@ -62,7 +62,7 @@ class TestBestSplit:
     def test_six_point_one_dimensional(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
         y = np.array([0, 0, 1, 0, 1, 1])
-        got = _best_split(X, y, np.array([0]), n_classes=2)
+        got = _best_split(X, y, n_classes=2)
         cost, f, thr = brute_force_best_split(X, y)
         assert got[0] == f
         assert got[1] == pytest.approx(thr)
@@ -73,7 +73,7 @@ class TestBestSplit:
         rng = np.random.default_rng(seed)
         X = rng.integers(0, 4, size=(12, 3)).astype(float)
         y = rng.integers(0, 3, size=12)
-        got = _best_split(X, y, np.arange(3), n_classes=3)
+        got = _best_split(X, y, n_classes=3)
         oracle = brute_force_best_split(X, y)
         if oracle is None:
             assert got is None
@@ -85,7 +85,7 @@ class TestBestSplit:
     def test_constant_features_give_no_split(self):
         X = np.ones((5, 2))
         y = np.array([0, 1, 0, 1, 0])
-        assert _best_split(X, y, np.arange(2), n_classes=2) is None
+        assert _best_split(X, y, n_classes=2) is None
 
 
 class TestForest:

@@ -181,6 +181,14 @@ def test_transfer_from_task_a_model(tmp_path, capsys):
     assert (transfer_out / "model.bin").exists()
 
 
+def test_transfer_checks_the_task_before_reading_files(tmp_path, capsys):
+    config, _ = write_config(tmp_path, **{"transfer.vocab": str(tmp_path / "missing_vocab.txt"),
+                                          "transfer.source_model": str(tmp_path / "missing_model.bin")})
+    assert cli.main(["transfer", "--config", str(config), "--task", "a"]) == 1
+    err = capsys.readouterr().err
+    assert "error: transfer targets task b or c, got 'a'" in err and "Traceback" not in err
+
+
 def test_tune_pu_writes_report(tmp_path, capsys):
     config, out = write_config(
         tmp_path, **{"baseline.grid": [0.0, 1.0], "baseline.folds": 2, "baseline.n_trees": 3}
@@ -416,6 +424,11 @@ def test_unknown_task_is_named(tmp_path, capsys, command, task):
     ("train", "model.dropout", 1.0),
     ("train", "model.weight_decay", -1),
     ("train", "model.lr", float("nan")),
+    ("train", "model.loss", "weighted_cross_entropy"),
+    ("train", "model.seed", 5),
+    ("train", "model.embed_dim", 8),
+    ("train", "model.output_units", 1),
+    ("embed-train", "embeddings.seed", 5),
     ("predict", "predict.vocab", 1),
     ("evaluate", "evaluate.predictions", 2),
 ])

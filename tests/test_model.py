@@ -324,13 +324,12 @@ class TestTrain:
             assert np.array_equal(pa.values, pb.values)
         assert runs[0][1] == runs[1][1]
 
-    def test_weighted_and_soft_f1_losses_run(self):
+    def test_soft_f1_loss_runs(self):
         arch, matrix, examples = self._dataset(n=120, seed=2)
-        for loss in ("weighted_cross_entropy", "soft_f1"):
-            params = build(arch, matrix, seed=1)
-            _, history = train(params, examples[:96], examples[96:],
-                               TrainConfig(max_epochs=1, seed=1, loss=loss))
-            assert len(history) == 1
+        params = build(arch, matrix, seed=1)
+        _, history = train(params, examples[:96], examples[96:],
+                           TrainConfig(max_epochs=1, seed=1, loss="soft_f1"))
+        assert len(history) == 1
 
     def test_empty_sets_rejected(self):
         arch, matrix, examples = self._dataset(n=40)
@@ -399,8 +398,7 @@ class TestSaveLoad:
         params = small_params(seed=6)
         path = tmp_path / "model.bin"
         save_model(params, "hash123", path)
-        loaded, vocab_hash = load_model(path, "hash123")
-        assert vocab_hash == "hash123"
+        loaded = load_model(path, "hash123")
         examples = random_examples(SMALL, 12, 5, seed=1)
         assert np.array_equal(proba(params, examples), proba(loaded, examples))
 
@@ -519,7 +517,7 @@ def saved_model(tmp_path_factory):
 def loads_the_same_or_fails_loud(params, data, path) -> None:
     path.write_bytes(data)
     try:
-        loaded, _ = load_model(path, "aaa")
+        loaded = load_model(path, "aaa")
     except ModelError:
         return
     for name in model.TENSOR_NAMES:
