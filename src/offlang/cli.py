@@ -128,17 +128,26 @@ _RUN_SET = {"model.seed": "data.seed or --seed", "embeddings.seed": "data.seed o
             "model.embed_dim": "embeddings.dim", "model.output_units": "the task"}
 
 
+# each `_section` section's keys: the fields of every settings class read from it, and the keys read alone
+_SECTION_KEYS = {"model": {f.name for f in fields(model.ModelArch) + fields(model.TrainConfig)},
+                 "embeddings": {f.name for f in fields(embeddings.NgramConfig) + fields(embeddings.CbowTrainParams)}
+                 | {"source", "path", "dim"}}
+
+
 def _section(config: dict, name: str, cls, **fixed):
     """`cls` from config section `name`: each field the section sets, read
     by `_scalar` against the field's default, plus the `fixed` fields, which
-    the section must not set. The defaults and range checks live on `cls`
-    alone; a check's message starts with its field's name."""
+    the section must not set. A key outside `_SECTION_KEYS` is an error. The
+    defaults and range checks live on `cls` alone; a check's message starts
+    with its field's name."""
     section = cfg(config, name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config key {name!r} must be an object")
-    for key in fixed:
-        if key in section:
+    for key in section:
+        if key in fixed:
             raise ConfigError(f"config key {name}.{key} must not be set; {_RUN_SET[f'{name}.{key}']} supplies it")
+        if key not in _SECTION_KEYS[name]:
+            raise ConfigError(f"config key {name}.{key} must name a known {name} setting")
     values = {f.name: _scalar(config, f"{name}.{f.name}", f.default) for f in fields(cls) if f.name in section}
     try:
         return cls(**fixed, **values)
@@ -171,32 +180,32 @@ def _tokens(records) -> list[list[str]]:
     return [corpus.tokenize(r.clean_text) for r in records]
 
 
-def _stratified_split(labels: np.ndarray, val_fraction: float, seed: int):
-    """Sorted (train, validation) row positions; each class gives
-    round(val_fraction * its size) random rows to validation."""
-    rng = np.random.default_rng(seed)
-    val = np.zeros(len(labels), dtype=bool)
-    for label in np.unique(labels):
-        rows = np.flatnonzero(labels == label)
-        val[rows[rng.permutation(len(rows))][: int(round(len(rows) * val_fraction))]] = True
-    return np.flatnonzero(~val), np.flatnonzero(val)
-
-
-def _split(run: Run, records, vocab, seq_len: int):
-    """The task's records encoded and split stratified into train and
-    validation sets; the train set is rebalanced to resample.p_u."""
+def _setup(run: Run, records, vocab, seq_len: int):
+    """(train set, validation set, TrainConfig) of a training run, read before
+    any model is built. Each class of the task's encoded records gives
+    round(data.val_fraction * its size) random rows to validation, and the
+    train set is rebalanced to resample.p_u."""
+    train_cfg = _section(run.config, "model", model.TrainConfig, seed=run.seed)
     task = run.task
     records = corpus.filter_task(records, task)
     examples = corpus.Examples(*corpus.encode_records(records, vocab, seq_len), corpus.label_indices(records, task))
     val_fraction = _scalar(run.config, "data.val_fraction", 0.2)
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"config key data.val_fraction must be in (0, 1), got {val_fraction}")
-    train_rows, val_rows = _stratified_split(examples.label, val_fraction, run.seed)
+    rng = np.random.default_rng(run.seed)
+    val = np.zeros(len(examples), dtype=bool)
+    for label in np.unique(examples.label):
+        rows = np.flatnonzero(examples.label == label)
+        val[rows[rng.permutation(len(rows))][: int(round(len(rows) * val_fraction))]] = True
+    if val.all() or not val.any():
+        raise ConfigError(f"config key data.val_fraction must leave both splits non-empty; {val_fraction} gives "
+                          f"{np.count_nonzero(val)} of the {len(val)} task {task} examples to validation")
     p_u = _p_u(run)
-    train_set, val_set = examples[train_rows], examples[val_rows]
+    train_set, val_set = examples[~val], examples[val]
     train_set = train_set[resample.rebalance(train_set.label, p_u, run.seed)]
-    run.resolved.update(task=task, p_u=p_u, train_examples=len(train_set), val_examples=len(val_set))
-    return train_set, val_set
+    run.resolved.update(task=task, p_u=p_u, train_examples=len(train_set), val_examples=len(val_set),
+                        train=asdict(train_cfg))
+    return train_set, val_set, train_cfg
 
 
 def _train_cbow(run: Run, records) -> embeddings.FastTextModel:
@@ -208,8 +217,14 @@ def _train_cbow(run: Run, records) -> embeddings.FastTextModel:
     )
 
 
-def _build_model(run: Run, records, vocab) -> model.ModelParams:
-    """The task's model, its embedding matrix from embeddings.source."""
+def _from_scratch(run: Run):
+    """(model, vocabulary, `_setup`) of a new model; its arch and the setup
+    are read before the embedding matrix is made from embeddings.source."""
+    records = run.records()
+    vocab = corpus.build_vocab(_tokens(records))
+    arch = _section(run.config, "model", model.ModelArch,
+                    embed_dim=_embed_dim(run.config), output_units=model.head_units(run.task))
+    setup = _setup(run, records, vocab, arch.seq_len)
     source = cfg(run.config, "embeddings.source", "cbow")
     if source == "cbow":
         vectors = _train_cbow(run, records)
@@ -218,22 +233,18 @@ def _build_model(run: Run, records, vocab) -> model.ModelParams:
         vectors = embeddings.load_vectors(_scalar(run.config, "embeddings.path", str), ngrams)
     else:
         raise ConfigError(f"embeddings.source must be 'cbow' or 'external_file', got {source!r}")
-    arch = _section(run.config, "model", model.ModelArch,
-                    embed_dim=_embed_dim(run.config), output_units=3 if run.task == "c" else 1)
-    return model.build(arch, embeddings.build_embedding_matrix(vocab, vectors), run.seed)
+    return model.build(arch, embeddings.build_embedding_matrix(vocab, vectors), run.seed), vocab, setup
 
 
-def _fit(run: Run, params: model.ModelParams, records, vocab) -> model.EpochStats:
-    """Shared by train and transfer: split, train, and save vocab.txt,
-    model.bin and history.csv; returns the best epoch."""
-    train_set, val_set = _split(run, records, vocab, params.arch.seq_len)
-    train_cfg = _section(run.config, "model", model.TrainConfig, seed=run.seed)
-    best, history = model.train(params, train_set, val_set, train_cfg)
+def _fit(run: Run, params: model.ModelParams, vocab, setup) -> model.EpochStats:
+    """Shared by train and transfer: train on the `_setup` split, and save
+    vocab.txt, model.bin and history.csv; returns the best epoch."""
+    best, history = model.train(params, *setup)
     vocab.save(run.out / "vocab.txt")
     model.save_model(best, vocab.content_hash(), run.out / "model.bin")
     model.write_history_csv(history, run.out / "history.csv")
-    run.resolved.update(arch=asdict(params.arch), train=asdict(train_cfg))
-    return max(history, key=lambda h: h.val_accuracy)
+    run.resolved["arch"] = asdict(params.arch)
+    return model.best_epoch(history)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +289,8 @@ def cmd_embed_train(run: Run) -> None:
 
 
 def cmd_train(run: Run) -> None:
-    records = run.records()
-    vocab = corpus.build_vocab(_tokens(records))
-    best = _fit(run, _build_model(run, records, vocab), records, vocab)
+    params, vocab, setup = _from_scratch(run)
+    best = _fit(run, params, vocab, setup)
     r = run.resolved
     r["vocab_size"] = vocab.size
     print(
@@ -293,7 +303,8 @@ def cmd_transfer(run: Run) -> None:
     model.check_transfer_task(run.task)
     vocab = corpus.Vocabulary.load(_scalar(run.config, "transfer.vocab", str))
     source = model.load_model(_scalar(run.config, "transfer.source_model", str), vocab.content_hash())
-    best = _fit(run, model.transfer(source, run.task, run.seed), run.records(), vocab)
+    setup = _setup(run, run.records(), vocab, source.arch.seq_len)
+    best = _fit(run, model.transfer(source, run.task, run.seed), vocab, setup)
     print(
         f"transferred to task {run.task}: best epoch {best.epoch}, "
         f"accuracy {best.val_accuracy:.4f}, macro-F1 {best.val_macro_f1:.4f}"
@@ -303,7 +314,10 @@ def cmd_transfer(run: Run) -> None:
 def cmd_predict(run: Run) -> None:
     task = run.task
     vocab = corpus.Vocabulary.load(_scalar(run.config, "predict.vocab", str))
-    params = model.load_model(_scalar(run.config, "predict.model", str), vocab.content_hash())
+    model_path = _scalar(run.config, "predict.model", str)
+    params = model.load_model(model_path, vocab.content_hash())
+    if params.arch.output_units != model.head_units(task):
+        raise ConfigError(f"{model_path}: a {params.arch.output_units}-unit head does not fit task {task}")
     records = run.records("data.test_path")
     names = corpus.TASK_LABELS[task]
     labels = model.predict(params, *corpus.encode_records(records, vocab, params.arch.seq_len))
@@ -378,11 +392,7 @@ def cmd_tune_pu(run: Run) -> None:
 def cmd_tune_hparams(run: Run) -> None:
     n_init = _at_least(run.config, "hpo.n_init", 3, 1)
     n_iter = _at_least(run.config, "hpo.n_iter", 10, 0)
-    records = run.records()
-    vocab = corpus.build_vocab(_tokens(records))
-    initial = _build_model(run, records, vocab)
-    train_set, val_set = _split(run, records, vocab, initial.arch.seq_len)
-    base = _section(run.config, "model", model.TrainConfig, seed=run.seed)
+    initial, _, (train_set, val_set, base) = _from_scratch(run)
     space = hpo.SearchSpace.default()
 
     def objective(point: dict[str, float]) -> float:

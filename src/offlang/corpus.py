@@ -105,7 +105,8 @@ def parse_olid(stream: IO[str]) -> list[TweetRecord]:
 
     The header must start with `id<TAB>tweet`, optionally followed by
     subtask_a / subtask_b / subtask_c columns in that order; "NULL" marks an
-    absent label. Every data row must match the header's column count.
+    absent label. Every data row must match the header's column count, and
+    no two rows may share an id.
     """
     lines = iter(stream)
     try:
@@ -121,6 +122,7 @@ def parse_olid(stream: IO[str]) -> list[TweetRecord]:
     n_cols = len(header)
 
     records = []
+    id_lines: dict[str, int] = {}
     for line_no, line in enumerate(lines, start=2):
         line = line.rstrip("\r\n")
         if not line:
@@ -130,6 +132,9 @@ def parse_olid(stream: IO[str]) -> list[TweetRecord]:
             raise CorpusError(
                 f"line {line_no}: expected {n_cols} tab-separated columns, got {len(fields)}"
             )
+        first = id_lines.setdefault(fields[0], line_no)
+        if first != line_no:
+            raise CorpusError(f"line {line_no}: duplicate tweet id {fields[0]!r}, first on line {first}")
         raw = fields[1]
         clean_text, user_count = clean(raw)
         labels = {"a": None, "b": None, "c": None}

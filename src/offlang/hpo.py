@@ -181,7 +181,8 @@ def bo_loop(
     n_iter: int,
     seed: int,
 ) -> BoResult:
-    """Seeded quasi-random init, then fit -> maximize EI -> evaluate rounds.
+    """`n_init` seeded quasi-random trials, then `n_iter` trials that each
+    fit the GP and take the seeded candidate of highest EI.
 
     A failing objective is recorded as +inf and the loop continues; for GP
     fitting such points are replaced by the worst finite value seen.
@@ -191,37 +192,23 @@ def bo_loop(
 
     X_unit = list(_halton_points(n_init, dims, rng))
     ys: list[float] = []
+    finite: list[float] = []  # the finite values in ys
     trace: list[BoTrial] = []
-
-    def evaluate(unit_point: np.ndarray, iteration: int) -> None:
-        point = space.decode(unit_point)
+    for iteration in range(n_init + n_iter):
+        if iteration >= n_init:
+            worst = max(finite, default=1.0)
+            gp = gp_fit(np.array(X_unit), np.array([v if math.isfinite(v) else worst for v in ys]))
+            candidates = rng.random((N_CANDIDATES, dims))
+            mean, var = gp.posterior(candidates)
+            X_unit.append(candidates[int(np.argmax(expected_improvement(mean, var, min(finite, default=worst))))])
+        point = space.decode(X_unit[iteration])
         try:
             value = float(objective(point))
-            if math.isnan(value):
-                value = math.inf
         except Exception:
             value = math.inf
-        ys.append(value)
+        ys.append(math.inf if math.isnan(value) else value)
         finite = [v for v in ys if math.isfinite(v)]
-        incumbent = min(finite) if finite else math.inf
-        trace.append(BoTrial(iteration, point, value, incumbent))
-
-    for i, pt in enumerate(X_unit):
-        evaluate(pt, i)
-
-    for it in range(n_iter):
-        finite = [v for v in ys if math.isfinite(v)]
-        worst = max(finite) if finite else 1.0
-        y_fit = np.array([v if math.isfinite(v) else worst for v in ys])
-        gp = gp_fit(np.array(X_unit), y_fit)
-
-        candidates = rng.random((N_CANDIDATES, dims))
-        mean, var = gp.posterior(candidates)
-        best_finite = min(finite) if finite else worst
-        ei = expected_improvement(mean, var, best_finite)
-        pick = candidates[int(np.argmax(ei))]
-        X_unit.append(pick)
-        evaluate(pick, n_init + it)
+        trace.append(BoTrial(iteration, point, ys[-1], min(finite, default=math.inf)))
 
     best_idx = int(np.argmin(ys))
     return BoResult(

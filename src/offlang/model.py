@@ -250,29 +250,22 @@ def predict(params: ModelParams, indices: np.ndarray, user_count: np.ndarray) ->
     return labels_from_probs(_predict_proba_arrays(params, indices, user_count))
 
 
-class EarlyStopper:
-    """Stop when the monitored value hasn't improved for `patience` epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.stale = 0
-
-    def update(self, value: float) -> tuple[bool, bool]:
-        if value > self.best:
-            self.best = value
-            self.stale = 0
-            return True, False
-        self.stale += 1
-        return False, self.stale >= self.patience
-
-
 @dataclass
 class EpochStats:
     epoch: int
     train_loss: float
     val_accuracy: float
     val_macro_f1: float
+
+
+def best_epoch(history: Sequence[EpochStats]) -> EpochStats:
+    """The first epoch with the highest validation accuracy: a tie is not a new best."""
+    return max(history, key=lambda h: h.val_accuracy)
+
+
+def head_units(task: str) -> int:
+    """Output units of a task's head: one sigmoid unit for a and b, a 3-way softmax for c."""
+    return 3 if task == "c" else 1
 
 
 def _onehot(y: np.ndarray, k: int) -> np.ndarray:
@@ -304,8 +297,8 @@ def train(
     val_set: Examples,
     config: TrainConfig,
 ) -> tuple[ModelParams, list[EpochStats]]:
-    """Seeded epochs with per-epoch shuffles; early-stops on validation
-    accuracy and returns the best epoch's weights plus the full history.
+    """Seeded epochs with per-epoch shuffles; stops `patience` epochs after
+    `best_epoch` and returns that epoch's weights plus the full history.
     A non-finite loss or gradient is a ModelError naming epoch and step."""
     if not len(train_set) or not len(val_set):
         raise ModelError("train and validation sets must be non-empty")
@@ -316,7 +309,6 @@ def train(
     trainable = {name: params.tensors[name] for name in (HEAD_NAMES if config.freeze_trunk else TENSOR_NAMES)}
     state = nn.init_adam(list(trainable.values()))
     rng = np.random.default_rng(config.seed)
-    stopper = EarlyStopper(config.patience)
     history: list[EpochStats] = []
     # The gradient entries the last step wrote, zeroed by the next one: the
     # batch's rows of the embedding, all of every other tensor.
@@ -356,10 +348,10 @@ def train(
         val_f1 = prf_macro(confusion(val_set.label, val_pred, n_classes)).macro_f1
         history.append(EpochStats(epoch, float(np.mean(losses)), val_acc, val_f1))
 
-        improved, stop = stopper.update(val_acc)
-        if improved:
+        top = best_epoch(history)
+        if top.epoch == epoch:
             best = params.copy()
-        if stop:
+        elif epoch - top.epoch >= config.patience:
             break
 
     return best, history
@@ -373,7 +365,7 @@ def write_history_csv(history: Sequence[EpochStats], path) -> None:
 
 
 def check_transfer_task(task: str) -> None:
-    """Transfer heads exist for tasks b and c; task a would get a 3-unit head."""
+    """Transfer reuses a task-a trunk for a task-b or task-c head."""
     if task not in ("b", "c"):
         raise ModelError(f"transfer targets task b or c, got {task!r}")
 
@@ -384,7 +376,7 @@ def transfer(source: ModelParams, task: str, seed: int) -> ModelParams:
     All layers stay trainable; freezing the trunk is a TrainConfig choice.
     """
     check_transfer_task(task)
-    arch = replace(source.arch, output_units=1 if task == "b" else 3)
+    arch = replace(source.arch, output_units=head_units(task))
     trunk = {name: source.tensors[name].copy() for name in TRUNK_NAMES}
     return ModelParams(arch, {**trunk, **_init_head(arch, np.random.default_rng(seed))})
 

@@ -431,8 +431,13 @@ def test_unknown_task_is_named(tmp_path, capsys, command, task):
     ("embed-train", "embeddings.seed", 5),
     ("predict", "predict.vocab", 1),
     ("evaluate", "evaluate.predictions", 2),
+    ("train", "model.hiden", 6),
+    ("train", "embeddings.windw", 3),
+    ("tune-hparams", "data.val_fraction", 0.001),  # leaves no validation example
 ])
-def test_bad_setting_is_named(tmp_path, capsys, command, key, value):
+def test_bad_setting_is_named(tmp_path, capsys, monkeypatch, command, key, value):
+    # every setting is checked before the embeddings are trained
+    monkeypatch.setattr(embeddings, "train_cbow", lambda *args: pytest.fail("CBOW ran before the error"))
     config, _ = write_config(tmp_path, **{key: value})
     assert cli.main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
@@ -444,3 +449,17 @@ def test_negative_seed_flag_is_named(tmp_path, capsys):
     assert cli.main(["train", "--config", str(config), "--seed", "-1"]) == 1
     err = capsys.readouterr().err
     assert "error: --seed must be >= 0, got -1" in err and "Traceback" not in err
+
+
+def test_predict_refuses_a_head_that_does_not_fit_the_task(tmp_path, capsys):
+    vocab = corpus.build_vocab([["a"]])
+    vocab.save(tmp_path / "vocab.txt")
+    path = tmp_path / "model.bin"
+    arch = model.ModelArch(seq_len=12, embed_dim=8, hidden=6, filters=4, output_units=model.head_units("c"))
+    model.save_model(model.build(arch, [[0.0] * 8] * vocab.size, 0), vocab.content_hash(), path)
+    config, out = write_config(tmp_path, **{"predict.model": str(path), "predict.vocab": str(tmp_path / "vocab.txt")})
+    assert cli.main(["predict", "--config", str(config), "--task", "a"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: a 3-unit head does not fit task a" in err and "Traceback" not in err
+    assert not (out / "predictions.csv").exists()
+    assert cli.main(["predict", "--config", str(config), "--task", "c"]) == 0

@@ -101,6 +101,16 @@ class TestParseOlid:
         with pytest.raises(CorpusError, match="subtask_b"):
             parse_olid(stream)
 
+    def test_repeated_id_names_both_lines(self):
+        stream = io.StringIO(
+            "id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n"
+            "1\thello\tNOT\tNULL\tNULL\n"
+            "2\tthere\tNOT\tNULL\tNULL\n"
+            "1\tagain\tOFF\tUNT\tNULL\n"
+        )
+        with pytest.raises(CorpusError, match="line 4: duplicate tweet id '1', first on line 2"):
+            parse_olid(stream)
+
     def test_two_column_test_file(self):
         stream = io.StringIO("id\ttweet\n9\t@USER hi there\n")
         (rec,) = parse_olid(stream)

@@ -13,7 +13,6 @@ from offlang import corpus, model, nn
 from offlang.corpus import Examples
 from offlang.gradcheck import max_rel_error, numeric_gradient
 from offlang.model import (
-    EarlyStopper,
     ModelArch,
     ModelError,
     ModelParams,
@@ -174,17 +173,29 @@ class TestPredict:
 
 
 class TestEarlyStopping:
-    def test_documented_sequence(self):
-        stopper = EarlyStopper(patience=2)
-        outcomes = [stopper.update(v) for v in [0.70, 0.74, 0.73, 0.72]]
-        assert outcomes == [(True, False), (True, False), (False, False), (False, True)]
-        assert stopper.best == 0.74
+    @pytest.mark.parametrize("patience, accuracies, epochs_run, best", [
+        (2, [0.5, 0.7, 0.6, 0.65, 0.9], 4, 2),  # stops 2 epochs after the best
+        (2, [0.5, 0.4, 0.6, 0.55, 0.5, 0.9], 5, 3),  # the new best at epoch 3 restarts the count
+        (2, [0.6, 0.6, 0.6, 0.9], 3, 1),  # a tie is not a new best
+        (1, [0.5, 0.6, 0.7], 3, 3),  # max_epochs ends the run
+    ], ids=["stop", "reset", "tie", "max_epochs"])
+    def test_epochs_run_and_best_epoch(self, monkeypatch, patience, accuracies, epochs_run, best):
+        fed = iter(accuracies)
+        monkeypatch.setattr(model, "accuracy", lambda y_true, y_pred: next(fed))
+        heads = []  # the head bias after each epoch, read by the epoch's validation predict
+        predict = model.predict
 
-    def test_patience_resets_on_improvement(self):
-        stopper = EarlyStopper(patience=2)
-        for v in [0.5, 0.4, 0.6, 0.55]:
-            _, stop = stopper.update(v)
-        assert not stop
+        def recording_predict(params, indices, user_count):
+            heads.append(params.out_b.values.copy())
+            return predict(params, indices, user_count)
+
+        monkeypatch.setattr(model, "predict", recording_predict)
+        examples = random_examples(SMALL, 12, 40, seed=4)
+        config = TrainConfig(batch_size=8, max_epochs=len(accuracies), patience=patience, seed=1)
+        weights, history = train(small_params(), examples[:32], examples[32:], config)
+        assert [h.epoch for h in history] == list(range(1, epochs_run + 1))
+        assert model.best_epoch(history).epoch == best
+        assert np.array_equal(weights.out_b.values, heads[best - 1])
 
 
 class TestTrain:
@@ -205,10 +216,9 @@ class TestTrain:
                               TrainConfig(max_epochs=3, seed=1))
         assert len(history) <= 3
         assert all(h.epoch == i + 1 for i, h in enumerate(history))
-        best_epoch = max(history, key=lambda h: h.val_accuracy)
         probs = proba(best, examples[320:])
         acc = float(((probs >= 0.5).astype(int) == examples[320:].label).mean())
-        assert acc == pytest.approx(best_epoch.val_accuracy, abs=1e-12)
+        assert acc == pytest.approx(model.best_epoch(history).val_accuracy, abs=1e-12)
 
     def test_non_finite_loss_raises(self):
         arch, matrix, examples = self._dataset(n=64, seed=5)
@@ -365,7 +375,7 @@ class TestTransfer:
     def test_frozen_trunk_skips_the_trunk_backward(self, monkeypatch, task):
         """A frozen trunk trains without the BiLSTM and conv backward, to the
         bytes that training with the full backward gives."""
-        examples = random_examples(SMALL, 12, 40, seed=4, k=3 if task == "c" else 1)
+        examples = random_examples(SMALL, 12, 40, seed=4, k=model.head_units(task))
         config = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=3, freeze_trunk=True)
         source = small_params(seed=2)
         head_backward, full_backward = model._head_backward, model._backward
