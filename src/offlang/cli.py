@@ -200,6 +200,10 @@ def _setup(run: Run, records, vocab, seq_len: int):
     if val.all() or not val.any():
         raise ConfigError(f"config key data.val_fraction must leave both splits non-empty; {val_fraction} gives "
                           f"{np.count_nonzero(val)} of the {len(val)} task {task} examples to validation")
+    lost = np.setdiff1d(examples.label, examples.label[~val])
+    if len(lost):
+        raise ConfigError(f"config key data.val_fraction must leave every class in the train split; {val_fraction} "
+                          f"gives all task {task} {corpus.TASK_LABELS[task][lost[0]]} examples to validation")
     p_u = _p_u(run)
     train_set, val_set = examples[~val], examples[val]
     train_set = train_set[resample.rebalance(train_set.label, p_u, run.seed)]

@@ -154,14 +154,22 @@ def cbow_pair_loss(
     targets = np.concatenate([[center_id], negative_ids]).astype(int)
     labels = np.zeros(len(targets))
     labels[0] = 1.0
-    scores = word_out[targets] @ h
-    probs = sigmoid(scores)
+    out_rows = word_out[targets]
+    probs = sigmoid(out_rows @ h)
     # loss = -log s(s_pos) - sum log s(-s_neg)
-    loss = float(-np.log(np.clip(probs[0], 1e-12, None)) - np.log(np.clip(1.0 - probs[1:], 1e-12, None)).sum())
+    loss = float(-np.log(np.maximum(probs[0], 1e-12)) - np.log(np.maximum(1.0 - probs[1:], 1e-12)).sum())
 
     dscores = probs - labels
-    grad_h = dscores @ word_out[targets]
+    grad_h = dscores @ out_rows
     return loss, (ids, weights[:, None] * grad_h), (targets, dscores[:, None] * h)
+
+
+def _subtract_rows(flat: np.ndarray, rows: np.ndarray, values: np.ndarray, cols: np.ndarray) -> None:
+    """Subtract `values[k]` from row `rows[k]` of the C-order array whose flat
+    view is `flat`; rows may repeat, and each element takes every occurrence's
+    share in turn, so the result is bit-equal to `np.subtract.at(a, rows,
+    values)`. The 1-D index takes numpy's fast `ufunc.at` path."""
+    np.subtract.at(flat, (rows[:, None] * len(cols) + cols).ravel(), values.ravel())
 
 
 def train_cbow(
@@ -189,6 +197,9 @@ def train_cbow(
     noise_cdf[-1] = 1.0
     total_tokens = total * params.epochs
 
+    # flat views of the two C-contiguous arrays, for the 1-D scatter
+    inputs_flat, out_flat = model.inputs.reshape(-1), model.word_out.reshape(-1)
+    cols = np.arange(dim)
     rng = np.random.default_rng(params.seed)
     processed = 0
     for _ in range(params.epochs):
@@ -207,9 +218,12 @@ def train_cbow(
                 ctx_ids = [model._constituents[c] for c in context]
                 _, (ids, grads), (targets, out_grads) = cbow_pair_loss(
                     model.word_in, model.bucket_vecs, model.word_out, ctx_ids, center, negs)
-                # negatives and constituent ids may repeat; subtract.at applies each occurrence
-                np.subtract.at(model.word_out, targets, alpha * out_grads)
-                np.subtract.at(model.inputs, ids, alpha * grads)
+                # scaled in place (both are fresh arrays), so the flat index is
+                # the update's one temporary and adds nothing to the peak memory
+                out_grads *= alpha
+                grads *= alpha
+                _subtract_rows(out_flat, targets, out_grads, cols)
+                _subtract_rows(inputs_flat, ids, grads, cols)
     return model
 
 
@@ -302,10 +316,11 @@ def save_fasttext(model: FastTextModel, path) -> None:
     """Text format: header `V B d`, V word lines `token v1..vd`, B bucket lines."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(model.tokens)} {model.cfg.buckets} {model.dim}\n")
+        # one row at a time: the whole table as Python floats would dwarf the array
         for tok, row in zip(model.tokens, model.word_in):
-            fh.write(tok + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            fh.write(tok + " " + " ".join(map(repr, row.tolist())) + "\n")
         for row in model.bucket_vecs:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_fasttext(path, cfg: NgramConfig) -> FastTextModel:

@@ -444,6 +444,16 @@ def test_bad_setting_is_named(tmp_path, capsys, monkeypatch, command, key, value
     assert f"error: config key {key} must " in err and "Traceback" not in err
 
 
+def test_train_split_that_loses_a_class_is_named(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(embeddings, "train_cbow", lambda *args: pytest.fail("CBOW ran before the error"))
+    # round(0.84 * 3) = 3: every UNT row goes to validation, while 8 of the 9 TIN rows do
+    config, _ = write_config(tmp_path, **{"data.task": "b", "data.val_fraction": 0.84})
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert ("error: config key data.val_fraction must leave every class in the train split; "
+            "0.84 gives all task b UNT examples to validation") in err and "Traceback" not in err
+
+
 def test_negative_seed_flag_is_named(tmp_path, capsys):
     config, _ = write_config(tmp_path)
     assert cli.main(["train", "--config", str(config), "--seed", "-1"]) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from offlang import corpus, nn
+from offlang import corpus, embeddings, nn
 from offlang.embeddings import (
     CbowTrainParams,
     FastTextModel,
@@ -180,6 +180,33 @@ class TestTrainCbow:
         for new, ref in ((inputs[:v], ref_word_in), (inputs[v:], ref_buckets), (out, ref_out)):
             assert np.abs(new - ref).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_flat_scatter_equals_the_2d_scatter(self, seed):
+        rng = np.random.default_rng(seed)
+        n, dim = 9, 7
+        table = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 3, size=(n, 1))
+        # many more occurrences than rows, so most rows repeat, some several times
+        rows = rng.integers(0, n, size=25)
+        values = rng.normal(size=(len(rows), dim))
+        flat_table, ref = table.copy(), table.copy()
+        embeddings._subtract_rows(flat_table.reshape(-1), rows, values, np.arange(dim))
+        np.subtract.at(ref, rows, values)
+        assert np.array_equal(flat_table, ref)
+
+    def test_training_updates_equal_the_2d_scatter(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        sents = [[f"t{i}" for i in rng.integers(0, 9, size=7)] for _ in range(30)]
+        args = (sents, NgramConfig(buckets=40), CbowTrainParams(epochs=2, subsample=0.0, seed=3), 8)
+        trained = train_cbow(*args)
+        # the 2-D rule on the array the flat view belongs to; a flat copy has
+        # no base, so an update that would miss the model fails here
+        monkeypatch.setattr(embeddings, "_subtract_rows",
+                            lambda flat, rows, values, cols: np.subtract.at(flat.base, rows, values))
+        ref = train_cbow(*args)
+        fresh = FastTextModel.init(trained.tokens, 8, NgramConfig(buckets=40), seed=3)
+        assert np.array_equal(trained.inputs, ref.inputs) and np.array_equal(trained.word_out, ref.word_out)
+        assert not np.array_equal(trained.inputs, fresh.inputs) and trained.word_out.any()
+
     def test_topic_clusters_separate(self):
         rng = np.random.default_rng(11)
         a_toks = [f"apple{i}" for i in range(10)]
@@ -306,6 +333,19 @@ class TestSaveLoad:
         assert np.array_equal(loaded.bucket_vecs, m.bucket_vecs)
         for w in ("red", "blue", "purple"):
             assert np.allclose(loaded.word_vector(w), m.word_vector(w))
+
+    def test_saved_text_is_repr_of_each_float(self, tmp_path):
+        tokens, dim = ["a", "b"], 4
+        special = [5e-324, 2.2e-308, -0.0, 0.0, 1e-300, -1e300, 3.0, -7.0, 0.1, 1 / 3, 123456789.0, 1e16]
+        rng = np.random.default_rng(0)
+        inputs = np.array(special + list(rng.normal(size=(len(tokens) + 3) * dim - len(special))))
+        m = FastTextModel(tokens, dim, NgramConfig(buckets=3), inputs.reshape(-1, dim), np.zeros((2, dim)))
+        save_fasttext(m, tmp_path / "ft.txt")
+        # the per-element form the row-wise save replaced
+        lines = [f"2 3 {dim}"] + [t + " " + " ".join(repr(float(x)) for x in row) for t, row in zip(tokens, m.word_in)]
+        lines += [" ".join(repr(float(x)) for x in row) for row in m.bucket_vecs]
+        assert (tmp_path / "ft.txt").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert "5e-324 2.2e-308 -0.0 0.0" in lines[1] and "123456789.0 1e+16" in lines[3]
 
     def test_load_vectors_tells_the_format_from_the_first_line(self, tmp_path):
         m = FastTextModel.init(["red", "blue"], 3, NgramConfig(2, 4, buckets=7), seed=0)
