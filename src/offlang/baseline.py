@@ -14,8 +14,11 @@ from .resample import rebalance
 
 
 def bow_matrix(token_lists: Sequence[list[str]], vocab: Vocabulary) -> np.ndarray:
-    """Documents x vocabulary occurrence counts; unknown tokens are ignored."""
-    matrix = np.zeros((len(token_lists), vocab.size), dtype=np.int32)
+    """Documents x vocabulary occurrence counts; unknown tokens are ignored.
+
+    The matrix is column-major, so that each column's counts are contiguous
+    for the trees' per-node gathers."""
+    matrix = np.zeros((len(token_lists), vocab.size), dtype=np.int32, order="F")
     lookup = vocab.token_to_index
     for row, tokens in enumerate(token_lists):
         for tok in tokens:
@@ -58,12 +61,14 @@ def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
     order = np.argsort(block, axis=1, kind="stable")
     sv = np.take_along_axis(block, order, axis=1)
     c, i = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split candidate c after its sorted value i
-    # (candidates, classes, n) class counts of the first i+1 sorted values
-    prefix = np.cumsum(y[order][:, None, :] == np.arange(n_classes)[:, None], axis=2)
-
-    left_counts = prefix[c, :, i]
-    right_counts = prefix[c, :, -1] - left_counts
-    n_left = left_counts.sum(axis=1)
+    # class counts of the first i+1 sorted values; class 0 takes what the others leave
+    ys = y[order]
+    n_left = i + 1
+    left_counts = np.empty((c.shape[0], n_classes), dtype=np.intp)
+    for k in range(1, n_classes):
+        left_counts[:, k] = np.cumsum(ys == k, axis=1)[c, i]
+    left_counts[:, 0] = n_left - left_counts[:, 1:].sum(axis=1)
+    right_counts = np.bincount(y, minlength=n_classes) - left_counts
     n_right = n - n_left
     gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
     gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
@@ -82,9 +87,11 @@ def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
 
 
 def _grow_tree(X, y, rows, rng: np.random.Generator, max_features: int, n_classes: int) -> Tree:
-    """One tree over the rows `rows` of X (repeats allowed). Nodes are
-    row-index arrays on a stack, right child pushed first, so the feature
-    draws and node numbers follow preorder and depth is unbounded."""
+    """One tree over the rows `rows` of the column-major X (repeats allowed).
+    Nodes are row-index arrays on a stack, right child pushed first, so the
+    feature draws and node numbers follow preorder and depth is unbounded."""
+    n_rows = X.shape[0]
+    flat = X.T.reshape(-1)  # a view: column f holds flat[f * n_rows:(f + 1) * n_rows]
     nodes = []  # [feature, threshold, left, right, label] per node
     stack = [(rows, None, 0)]  # (node rows, parent node, its slot for this child)
     while stack:
@@ -99,7 +106,7 @@ def _grow_tree(X, y, rows, rng: np.random.Generator, max_features: int, n_classe
             continue
         features = rng.choice(X.shape[1], size=max_features, replace=False)
         # gathered feature-major, so that each candidate's values are contiguous
-        block = X.T[np.ix_(features, rows)].T
+        block = flat.take(features[:, None] * n_rows + rows).T
         split = _best_split(block, node_y, n_classes)
         if split is None:
             continue
@@ -116,50 +123,55 @@ class ForestModel:
     n_classes: int
 
 
-def train_forest(X: np.ndarray, y: Sequence[int], n_trees: int, seed: int) -> ForestModel:
+def train_forest(X: np.ndarray, y: Sequence[int], n_trees: int, seed: int, rows=None) -> ForestModel:
     """Bootstrap-aggregated Gini trees grown until pure or < 2 samples; each
     split samples isqrt(features) candidate features.
 
+    The forest trains on the rows `rows` of X and y (repeats allowed; all
+    rows by default), the same forest as on the copies X[rows], y[rows].
     Each tree draws its bootstrap and feature samples from its own child of
     the master seed.
     """
-    X = np.asarray(X)
+    X = np.asfortranarray(X)
     y = np.asarray(y, dtype=int)
-    if X.shape[0] == 0 or y.shape[0] != X.shape[0]:
+    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows.shape[0] == 0 or y.shape[0] != X.shape[0]:
         raise ValueError("need a non-empty matrix with one label per row")
-    n_classes = int(y.max()) + 1
+    n_classes = int(y[rows].max()) + 1
     max_features = math.isqrt(X.shape[1])
 
     trees = []
     for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(tree_seed)
-        rows = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(_grow_tree(X, y, rows, rng, max_features, n_classes))
+        sample = rows[rng.integers(0, rows.shape[0], size=rows.shape[0])]
+        trees.append(_grow_tree(X, y, sample, rng, max_features, n_classes))
     return ForestModel(trees=trees, n_classes=n_classes)
 
 
-def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf labels of every row of X, moving all rows down one level per pass."""
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0])
-    while rows.size:
-        at = node[rows]
+def _tree_predict(tree: Tree, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Leaf labels of the rows `rows` of X, moving them all down one level per pass."""
+    node = np.zeros(rows.shape[0], dtype=np.intp)
+    live = np.arange(rows.shape[0])
+    while live.size:
+        at = node[live]
         inner = tree.left[at] >= 0
-        rows, at = rows[inner], at[inner]
-        go_left = X[rows, tree.feature[at]] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        live, at = live[inner], at[inner]
+        go_left = X[rows[live], tree.feature[at]] <= tree.threshold[at]
+        node[live] = np.where(go_left, tree.left[at], tree.right[at])
     return tree.label[node]
 
 
-def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Majority vote over trees; ties go to the lowest label index."""
+def predict_forest(model: ForestModel, X: np.ndarray, rows=None) -> np.ndarray:
+    """Majority vote over trees for the rows `rows` of X (all rows by
+    default); ties go to the lowest label index."""
     if not model.trees:
         raise ValueError("empty forest")
     X = np.asarray(X)
-    votes = np.zeros((X.shape[0], model.n_classes), dtype=int)
-    rows = np.arange(X.shape[0])
+    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    votes = np.zeros((rows.shape[0], model.n_classes), dtype=int)
+    each = np.arange(rows.shape[0])
     for tree in model.trees:
-        votes[rows, _tree_predict(tree, X)] += 1
+        votes[each, _tree_predict(tree, X, rows)] += 1
     return votes.argmax(axis=1)
 
 
@@ -184,9 +196,10 @@ def cv_select_pu(
     """Pick the resampling fraction by k-fold CV of the random forest.
 
     Only the training folds are rebalanced; scores are macro-F1 on the
-    untouched held-out fold. Ties go to the smaller p_u.
+    untouched held-out fold. Ties go to the smaller p_u. Folds are row
+    positions into the one column-major matrix, never copies of it.
     """
-    X = np.asarray(X)
+    X = np.asfortranarray(X)
     y = np.asarray(y, dtype=int)
     n = y.shape[0]
     n_classes = int(y.max()) + 1
@@ -202,12 +215,12 @@ def cv_select_pu(
     for p_u in grid:
         scores = []
         for fold in range(folds):
-            test_mask = fold_of == fold
-            train_rows = np.flatnonzero(~test_mask)
+            test_rows = np.flatnonzero(fold_of == fold)
+            train_rows = np.flatnonzero(fold_of != fold)
             rows = train_rows[rebalance(y[train_rows], p_u, seed=seed + fold)]
-            forest = train_forest(X[rows], y[rows], n_trees=n_trees, seed=seed + 31 * fold)
-            pred = predict_forest(forest, X[test_mask])
-            scores.append(prf_macro(confusion(y[test_mask], pred, n_classes)).macro_f1)
+            forest = train_forest(X, y, n_trees=n_trees, seed=seed + 31 * fold, rows=rows)
+            pred = predict_forest(forest, X, rows=test_rows)
+            scores.append(prf_macro(confusion(y[test_rows], pred, n_classes)).macro_f1)
         candidates.append(PuCandidate(p_u=float(p_u), fold_scores=scores))
 
     best = max(candidates, key=lambda c: (c.mean_macro_f1, -c.p_u))

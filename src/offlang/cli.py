@@ -180,6 +180,19 @@ def _tokens(records) -> list[list[str]]:
     return [corpus.tokenize(r.clean_text) for r in records]
 
 
+def _task_records(run: Run, records) -> list[corpus.TweetRecord]:
+    """The records labelled for the run's task; rebalancing them needs two classes."""
+    task = run.task
+    records = corpus.filter_task(records, task)
+    classes = {r.label_for(task) for r in records}
+    if len(classes) < 2:
+        path = _scalar(run.config, "data.train_path", str)
+        found = (f"every task {task} record in data.train_path {path} is {classes.pop()}" if classes
+                 else f"data.train_path {path} holds no task {task} records")
+        raise ConfigError(f"task {task} needs at least two classes to rebalance, but {found}")
+    return records
+
+
 def _setup(run: Run, records, vocab, seq_len: int):
     """(train set, validation set, TrainConfig) of a training run, read before
     any model is built. Each class of the task's encoded records gives
@@ -187,7 +200,7 @@ def _setup(run: Run, records, vocab, seq_len: int):
     train set is rebalanced to resample.p_u."""
     train_cfg = _section(run.config, "model", model.TrainConfig, seed=run.seed)
     task = run.task
-    records = corpus.filter_task(records, task)
+    records = _task_records(run, records)
     examples = corpus.Examples(*corpus.encode_records(records, vocab, seq_len), corpus.label_indices(records, task))
     val_fraction = _scalar(run.config, "data.val_fraction", 0.2)
     if not 0.0 < val_fraction < 1.0:
@@ -275,7 +288,7 @@ def cmd_stats(run: Run) -> None:
 
 def cmd_resample_report(run: Run) -> None:
     task = run.task
-    labels = [r.label_for(task) for r in corpus.filter_task(run.records(), task)]
+    labels = [r.label_for(task) for r in _task_records(run, run.records())]
     p_u = _p_u(run)
     before = Counter(labels)
     after = Counter(labels[row] for row in resample.rebalance(labels, p_u, run.seed))
@@ -381,7 +394,7 @@ def cmd_tune_pu(run: Run) -> None:
     grid = _grid(run.config)
     folds = _at_least(run.config, "baseline.folds", 5, 2)
     n_trees = _at_least(run.config, "baseline.n_trees", 100, 1)
-    records = corpus.filter_task(run.records(), task)
+    records = _task_records(run, run.records())
     tokens = _tokens(records)
     X = baseline.bow_matrix(tokens, corpus.build_vocab(tokens))
     y = corpus.label_indices(records, task)

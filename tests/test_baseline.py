@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ class TestBowMatrix:
     def test_column_count_is_vocab_size(self):
         vocab = corpus.build_vocab([["a", "b", "c"]])
         assert bow_matrix([["a"]], vocab).shape == (1, vocab.size)
+
+
+def test_bow_matrix_is_column_major():
+    vocab = corpus.build_vocab([["a", "b"]])
+    assert bow_matrix([["a", "b"], ["b"]], vocab).flags.f_contiguous
 
 
 def brute_force_best_split(X, y):
@@ -86,6 +92,72 @@ class TestBestSplit:
         X = np.ones((5, 2))
         y = np.array([0, 1, 0, 1, 0])
         assert _best_split(X, y, n_classes=2) is None
+
+
+def cube_best_split(X, y, n_classes):
+    """`_best_split` with its class counts from a (candidates, classes, n)
+    one-hot cube: the reference the cube-free counts must match exactly."""
+    n = y.shape[0]
+    block = X.T
+    varies = np.flatnonzero(block.min(axis=1) != block.max(axis=1))
+    if not varies.size:
+        return None
+    block = block[varies]
+    order = np.argsort(block, axis=1, kind="stable")
+    sv = np.take_along_axis(block, order, axis=1)
+    c, i = np.nonzero(sv[:, 1:] != sv[:, :-1])
+    prefix = np.cumsum(y[order][:, None, :] == np.arange(n_classes)[:, None], axis=2)
+    left_counts = prefix[c, :, i]
+    right_counts = prefix[c, :, -1] - left_counts
+    n_left = left_counts.sum(axis=1)
+    n_right = n - n_left
+    gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+    cost = np.full(sv[:, 1:].shape, np.inf)
+    cost[c, i] = (n_left * gini_left + n_right * gini_right) / n
+    at = cost.argmin(axis=1)
+    best = None
+    best_cost = np.inf
+    for col, j in enumerate(at):
+        if cost[col, j] < best_cost - 1e-12:
+            best_cost = float(cost[col, j])
+            best = (int(varies[col]), float((sv[col, j] + sv[col, j + 1]) / 2.0), best_cost)
+    return best
+
+
+class TestClassCounts:
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+    def test_match_the_one_hot_cube_exactly(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        for case in range(150):
+            n = int(rng.integers(2, 40))
+            X = rng.integers(0, 4, size=(n, 6))  # few distinct values: ties in every column
+            X[:, rng.random(6) < 0.3] = 2  # some constant columns
+            if case % 2:
+                X = X + rng.normal(size=X.shape) * (rng.random(6) < 0.5)
+            else:
+                X = X.astype(np.int32)
+            # some blocks leave the top classes out, as a node's labels do
+            y = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=n)
+            assert _best_split(X, y, n_classes) == cube_best_split(X, y, n_classes)
+
+
+class TestRowPositions:
+    @pytest.mark.parametrize("kind", ["counts", "normal"])
+    def test_positions_equal_copies(self, kind):
+        rng = np.random.default_rng(5)
+        X = rng.poisson(0.7, size=(60, 16)).astype(np.int32) if kind == "counts" else rng.normal(size=(60, 16))
+        y = rng.integers(0, 3, size=60)
+        rows = rng.integers(0, 60, size=50)
+        test = rng.integers(0, 60, size=30)
+        assert len(np.unique(rows)) < len(rows) and len(np.unique(test)) < len(test)
+        by_position = train_forest(X, y, n_trees=5, seed=7, rows=rows)
+        by_copy = train_forest(X[rows], y[rows], n_trees=5, seed=7)
+        assert by_position.n_classes == by_copy.n_classes
+        for a, b in zip(by_position.trees, by_copy.trees, strict=True):
+            for f in fields(Tree):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        assert np.array_equal(predict_forest(by_position, X, rows=test), predict_forest(by_position, X[test]))
 
 
 class TestForest:

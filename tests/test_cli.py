@@ -473,3 +473,20 @@ def test_predict_refuses_a_head_that_does_not_fit_the_task(tmp_path, capsys):
     assert f"error: {path}: a 3-unit head does not fit task a" in err and "Traceback" not in err
     assert not (out / "predictions.csv").exists()
     assert cli.main(["predict", "--config", str(config), "--task", "c"]) == 0
+
+
+@pytest.mark.parametrize("command", ["train", "resample-report", "tune-pu"])
+@pytest.mark.parametrize("task, found", [
+    pytest.param("a", "every task a record in data.train_path {} is OFF", id="one-class"),
+    pytest.param("c", "data.train_path {} holds no task c records", id="no-records"),
+])
+def test_task_without_two_classes_is_named(tmp_path, capsys, monkeypatch, command, task, found):
+    monkeypatch.setattr(embeddings, "train_cbow", lambda *args: pytest.fail("CBOW ran before the error"))
+    train = tmp_path / "train.tsv"
+    rows = [OLID_FIXTURE.splitlines()[0]] + [f"{i}\tyou are all terrible {i}\tOFF\tUNT\tNULL" for i in range(1, 13)]
+    train.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config, _ = write_config(tmp_path, **{"data.task": task, "baseline.folds": 2, "baseline.n_trees": 1})
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert (f"error: task {task} needs at least two classes to rebalance, but "
+            f"{found.format(train)}") in err and "Traceback" not in err
