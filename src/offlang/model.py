@@ -268,27 +268,15 @@ def head_units(task: str) -> int:
     return 3 if task == "c" else 1
 
 
-def _onehot(y: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], k))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def _loss_and_dz(probs, y_batch, config: TrainConfig, k: int):
-    """Loss on the probabilities, chained back to the logit gradient."""
+    """Loss on the probabilities (soft-F1 or the head's cross-entropy), chained
+    back through the head's sigmoid or softmax to the (B, k) logit gradient."""
     if k == 1:
-        if config.loss == "soft_f1":
-            loss, dp = nn.soft_f1_loss(probs, y_batch)
-        else:
-            loss, dp = nn.bce_loss(probs, y_batch, None)
-        dz = nn.sigmoid_backward(dp, probs)
-        return loss, dz[:, None]
-    onehot = _onehot(y_batch, k)
-    if config.loss == "soft_f1":
-        loss, dprobs = nn.soft_f1_loss(probs, onehot)
+        target, cross_entropy, head_backward = y_batch, nn.bce_loss, nn.sigmoid_backward
     else:
-        loss, dprobs = nn.categorical_ce_loss(probs, onehot, None)
-    return loss, nn.softmax_backward(dprobs, probs)
+        target, cross_entropy, head_backward = np.eye(k)[y_batch], nn.categorical_ce_loss, nn.softmax_backward
+    loss, dprobs = (nn.soft_f1_loss if config.loss == "soft_f1" else cross_entropy)(probs, target)
+    return loss, head_backward(dprobs, probs).reshape(len(probs), k)
 
 
 def train(

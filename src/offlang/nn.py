@@ -285,28 +285,22 @@ def global_avg_pool_backward(dy: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # losses — each returns (loss, grad wrt the probability input)
 
-def _clip_probs(p: np.ndarray):
-    clipped = np.clip(p, EPS_PROB, 1.0 - EPS_PROB)
-    interior = (p > EPS_PROB) & (p < 1.0 - EPS_PROB)
-    return clipped, interior
-
-
-def bce_loss(p: np.ndarray, y: np.ndarray, class_weights: np.ndarray | None):
-    """Binary cross-entropy, batch mean, optional per-class example weights."""
+def bce_loss(p: np.ndarray, y: np.ndarray):
+    """Binary cross-entropy over (B,) probabilities and 0/1 labels, batch mean."""
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if p.size == 0:
         raise ValueError("empty batch")
-    pc, interior = _clip_probs(p)
-    w = np.asarray(class_weights)[y.astype(int)] if class_weights is not None else np.ones_like(pc)
+    pc = np.clip(p, EPS_PROB, 1.0 - EPS_PROB)
+    interior = (p > EPS_PROB) & (p < 1.0 - EPS_PROB)
     n = p.shape[0]
-    loss = float(np.mean(w * -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
-    dp = w * (pc - y) / (pc * (1.0 - pc)) / n
+    loss = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+    dp = (pc - y) / (pc * (1.0 - pc)) / n
     dp *= interior
     return loss, dp
 
 
-def categorical_ce_loss(probs: np.ndarray, onehot: np.ndarray, class_weights: np.ndarray | None):
+def categorical_ce_loss(probs: np.ndarray, onehot: np.ndarray):
     """Categorical cross-entropy over (B, k) probabilities, batch mean."""
     probs = np.asarray(probs, dtype=np.float64)
     onehot = np.asarray(onehot, dtype=np.float64)
@@ -314,13 +308,9 @@ def categorical_ce_loss(probs: np.ndarray, onehot: np.ndarray, class_weights: np
         raise ValueError("empty batch")
     pc = np.clip(probs, EPS_PROB, None)
     interior = probs > EPS_PROB
-    if class_weights is not None:
-        w = np.asarray(class_weights)[onehot.argmax(axis=1)]
-    else:
-        w = np.ones(probs.shape[0])
     n = probs.shape[0]
-    loss = float(np.mean(w * -(onehot * np.log(pc)).sum(axis=1)))
-    dprobs = -w[:, None] * onehot / pc / n
+    loss = float(np.mean(-(onehot * np.log(pc)).sum(axis=1)))
+    dprobs = -onehot / pc / n
     dprobs *= interior
     return loss, dprobs
 

@@ -29,6 +29,19 @@ def test_wrong_parameter_gradient_fails(doubled_conv_bias_grad):
     assert gradcheck.check_conv1d(seed=0) > 1e-4
 
 
+@pytest.mark.parametrize("loss_name, check", [("bce_loss", gradcheck.check_bce),
+                                              ("categorical_ce_loss", gradcheck.check_categorical_ce)])
+def test_wrong_loss_gradient_fails(monkeypatch, loss_name, check):
+    loss_fn = getattr(nn, loss_name)
+
+    def doubled(probs, target):
+        loss, dprobs = loss_fn(probs, target)
+        return loss, 2.0 * dprobs
+
+    monkeypatch.setattr(nn, loss_name, doubled)
+    assert check(0) > 1e-4
+
+
 def test_cli_reports_each_failing_check(doubled_dense_input_grad, doubled_conv_bias_grad, capsys):
     assert cli.main(["gradcheck", "--seeds", "1"]) == 1
     status = {line.split()[1]: line.split()[0] for line in capsys.readouterr().out.splitlines()}

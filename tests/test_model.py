@@ -130,22 +130,24 @@ class TestForward:
         with pytest.raises(ModelError):
             proba(params, as_examples([([12] * SMALL.seq_len, 0, 0)]))
 
-    def test_full_backward_matches_finite_differences(self):
+    @pytest.mark.parametrize("units, loss", [(1, "cross_entropy"), (1, "soft_f1"),
+                                             (3, "cross_entropy"), (3, "soft_f1")])
+    def test_full_backward_matches_finite_differences(self, units, loss):
         arch = ModelArch(seq_len=6, embed_dim=5, hidden=4, filters=3, ffnn_hidden=3,
-                         use_user_count=True)
+                         use_user_count=True, output_units=units)
         params = small_params(arch, vocab_size=9, seed=3)
-        examples = random_examples(arch, 9, 4, seed=2)
+        examples = random_examples(arch, 9, 4, seed=2, k=units)
         idx, uc, y = examples.indices, examples.user_count, examples.label
+        config = TrainConfig(loss=loss)
 
-        def loss():
+        def loss_value():
             probs, _ = model._forward(params, idx, uc, None, 0.0)
-            return nn.bce_loss(probs, y, None)[0]
+            return model._loss_and_dz(probs, y, config, units)[0]
 
         probs, cache = model._forward(params, idx, uc, None, 0.0)
-        _, dp = nn.bce_loss(probs, y, None)
-        model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
+        model._backward(params, model._loss_and_dz(probs, y, config, units)[1], cache)
         for p in params.all_params():
-            assert max_rel_error(p.grad, numeric_gradient(loss, p.values)) <= 1e-4
+            assert max_rel_error(p.grad, numeric_gradient(loss_value, p.values)) <= 1e-4
 
 
 class TestPredict:
@@ -311,14 +313,14 @@ class TestTrain:
                 for p in params.all_params():
                     p.grad[...] = 0.0
                 probs, cache = model._forward(params, idx, uc, None, 0.0)
-                loss, dp = nn.bce_loss(probs, y, None)
+                loss, dp = nn.bce_loss(probs, y)
                 if first is None:
                     first = loss
                 model._backward(params, nn.sigmoid_backward(dp, probs)[:, None], cache)
                 nn.adam_step(params.all_params(), [slice(None)] * len(params.tensors), state,
                              lr=0.001, weight_decay=0.0)
             probs, _ = model._forward(params, idx, uc, None, 0.0)
-            final = nn.bce_loss(probs, y, None)[0]
+            final = nn.bce_loss(probs, y)[0]
             wins += final < first
         assert wins >= 9
 

@@ -196,21 +196,14 @@ class TestPooling:
 
 class TestLosses:
     def test_bce_analytic_values(self):
-        loss, _ = nn.bce_loss(np.array([1.0]), np.array([1.0]), None)
+        loss, _ = nn.bce_loss(np.array([1.0]), np.array([1.0]))
         assert loss == pytest.approx(0.0, abs=1e-5)
-        loss, _ = nn.bce_loss(np.array([0.5]), np.array([1.0]), None)
+        loss, _ = nn.bce_loss(np.array([0.5]), np.array([1.0]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
-
-    def test_bce_class_weights_scale_loss(self):
-        p = np.array([0.4, 0.4])
-        y = np.array([1.0, 0.0])
-        base, _ = nn.bce_loss(p, y, None)
-        weighted, _ = nn.bce_loss(p, y, class_weights=np.array([2.0, 2.0]))
-        assert weighted == pytest.approx(2 * base)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            nn.bce_loss(np.array([]), np.array([]), None)
+            nn.bce_loss(np.array([]), np.array([]))
 
     def test_soft_f1_perfect_predictions(self):
         y = np.array([1.0, 0.0, 1.0, 1.0])
@@ -225,7 +218,7 @@ class TestLosses:
     def test_categorical_ce_uniform(self):
         probs = np.full((1, 3), 1 / 3)
         onehot = np.array([[1.0, 0.0, 0.0]])
-        loss, _ = nn.categorical_ce_loss(probs, onehot, None)
+        loss, _ = nn.categorical_ce_loss(probs, onehot)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
     def test_softmax_backward_matches_finite_differences(self):
