@@ -1,5 +1,6 @@
-"""Bag-of-words baseline: document-term counts, a from-scratch random forest
-with Gini splits, and cross-validated selection of the resampling fraction.
+"""Bag-of-words baseline: document-term counts in compressed sparse rows, a
+from-scratch random forest with Gini splits searched over the nonzeros, and
+cross-validated selection of the resampling fraction.
 """
 
 import math
@@ -13,19 +14,74 @@ from .metrics import confusion, prf_macro
 from .resample import rebalance
 
 
-def bow_matrix(token_lists: Sequence[list[str]], vocab: Vocabulary) -> np.ndarray:
-    """Documents x vocabulary occurrence counts; unknown tokens are ignored.
+@dataclass
+class Csr:
+    """A matrix in compressed sparse rows: row i holds the values
+    data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:indptr[i + 1]],
+    and every other entry is 0. len(), .shape and .nbytes read as a dense
+    matrix's would, except that .nbytes counts the three arrays."""
 
-    The matrix is column-major, so that each column's counts are contiguous
-    for the trees' per-node gathers."""
-    matrix = np.zeros((len(token_lists), vocab.size), dtype=np.int32, order="F")
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
+
+def _csr(row: np.ndarray, col: np.ndarray, data: np.ndarray, shape: tuple[int, int]) -> Csr:
+    """The Csr of the entries (row, col, data), given sorted by row."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+    return Csr(indptr, col, data, shape)
+
+
+def _as_csr(X) -> Csr:
+    """X itself if it is a Csr, else the Csr of the dense 2-D array X."""
+    if isinstance(X, Csr):
+        return X
+    X = np.asarray(X)
+    row, col = np.nonzero(X)
+    return _csr(row, col, X[row, col], X.shape)
+
+
+def _entry_rows(X: Csr) -> np.ndarray:
+    """The row of each stored entry of X."""
+    return np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+
+
+def _rows(X: Csr, rows: np.ndarray) -> Csr:
+    """X[rows] (repeats included) as a Csr."""
+    starts = X.indptr[rows]
+    lens = X.indptr[rows + 1] - starts
+    indptr = np.zeros(rows.shape[0] + 1, dtype=np.intp)
+    np.cumsum(lens, out=indptr[1:])
+    at = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
+    return Csr(indptr, X.indices[at], X.data[at], (rows.shape[0], X.shape[1]))
+
+
+def _columns(X: Csr, features: np.ndarray, slot_of: np.ndarray) -> Csr:
+    """X[:, features] as a Csr. slot_of is -1 over X's columns and is left so."""
+    slot_of[features] = np.arange(features.shape[0])
+    slot = slot_of[X.indices]
+    slot_of[features] = -1
+    keep = np.flatnonzero(slot >= 0)
+    return Csr(np.searchsorted(keep, X.indptr), slot[keep], X.data[keep], (X.shape[0], features.shape[0]))
+
+
+def bow_matrix(token_lists: Sequence[list[str]], vocab: Vocabulary) -> Csr:
+    """Documents x vocabulary occurrence counts (int32) in CSR, built from the
+    nonzeros alone; unknown tokens are ignored."""
     lookup = vocab.token_to_index
-    for row, tokens in enumerate(token_lists):
-        for tok in tokens:
-            col = lookup.get(tok)
-            if col is not None:
-                matrix[row, col] += 1
-    return matrix
+    keys = [row * vocab.size + lookup[tok] for row, tokens in enumerate(token_lists) for tok in tokens if tok in lookup]
+    keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+    row, col = np.divmod(keys, vocab.size)
+    return _csr(row, col.astype(np.intp, copy=False), counts.astype(np.int32), (len(token_lists), vocab.size))
 
 
 @dataclass
@@ -44,54 +100,73 @@ class Tree:
     label: np.ndarray
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, n_classes: int):
-    """Greedy Gini split over the columns of X.
+def _best_split(X, y: np.ndarray, n_classes: int):
+    """Greedy Gini split over the columns of X (a Csr or a dense array),
+    searched over each column's nonzeros.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    returns (column, threshold, weighted_impurity) or None when every
-    column is constant. The first column wins ties, and a later one must
-    beat the best cost by more than 1e-12.
+    A column's zeros form one group between its negative and its positive
+    values, with the class counts that its nonzeros leave of the node's.
+    Thresholds are midpoints between consecutive distinct values; returns
+    (column, threshold, weighted_impurity) or None when every column is
+    constant. Within a column the first best threshold in value order wins;
+    across columns the first wins ties, and a later one must beat the best
+    cost by more than 1e-12.
     """
-    n = y.shape[0]
-    block = X.T  # one candidate per row, a view
-    varies = np.flatnonzero(block.min(axis=1) != block.max(axis=1))
-    if not varies.size:
+    X = _as_csr(X)
+    if not X.data.size:
         return None
-    block = block[varies]
-    order = np.argsort(block, axis=1, kind="stable")
-    sv = np.take_along_axis(block, order, axis=1)
-    c, i = np.nonzero(sv[:, 1:] != sv[:, :-1])  # split candidate c after its sorted value i
-    # class counts of the first i+1 sorted values; class 0 takes what the others leave
-    ys = y[order]
-    n_left = i + 1
-    left_counts = np.empty((c.shape[0], n_classes), dtype=np.intp)
-    for k in range(1, n_classes):
-        left_counts[:, k] = np.cumsum(ys == k, axis=1)[c, i]
-    left_counts[:, 0] = n_left - left_counts[:, 1:].sum(axis=1)
-    right_counts = np.bincount(y, minlength=n_classes) - left_counts
+    n, m = y.shape[0], X.shape[1]
+    labels = y[_entry_rows(X)]
+    node_counts = np.bincount(y, minlength=n_classes)
+    nonzero_counts = np.bincount(X.indices * n_classes + labels, minlength=m * n_classes).reshape(m, n_classes)
+    n_zero = n - nonzero_counts.sum(axis=1)
+    zero_cols = np.flatnonzero((n_zero > 0) & (n_zero < n))  # columns with zeros and nonzeros
+    # one entry per nonzero and one per zero group, each with its class counts
+    col = np.concatenate((X.indices, zero_cols))
+    val = np.concatenate((X.data, np.zeros(zero_cols.shape[0], dtype=X.data.dtype)))
+    counts = np.concatenate((np.eye(n_classes, dtype=np.intp)[labels], node_counts - nonzero_counts[zero_cols]))
+    order = np.lexsort((val, col))
+    col, val = col[order], val[order]
+    prefix = np.cumsum(counts[order], axis=0)
+    same_col = col[1:] == col[:-1]
+    # split after sorted entry e: the next one is in the same column with a larger value
+    e = np.flatnonzero(same_col & (val[1:] != val[:-1]))
+    if not e.size:
+        return None
+    # the prefix counts of the columns before each entry's, carried forward from
+    # each column's start (prefix never decreases, so a running maximum carries them)
+    before = np.zeros_like(prefix)
+    starts = np.flatnonzero(~same_col) + 1
+    before[starts] = prefix[starts - 1]
+    np.maximum.accumulate(before, axis=0, out=before)
+    left_counts = prefix[e] - before[e]
+    n_left = left_counts.sum(axis=1)
+    right_counts = node_counts - left_counts
     n_right = n - n_left
     gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
     gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-    cost = np.full(sv[:, 1:].shape, np.inf)
-    cost[c, i] = (n_left * gini_left + n_right * gini_right) / n
-    at = cost.argmin(axis=1)  # each candidate's first best split
+    cost = (n_left * gini_left + n_right * gini_right) / n
+    # each column's first best split in value order: a stable sort by (column, cost)
+    split_col = col[e]
+    by_cost = np.lexsort((cost, split_col))
+    firsts = split_col[by_cost]
+    at = by_cost[np.concatenate(([True], firsts[1:] != firsts[:-1]))]
 
     best = None
     best_cost = np.inf
-    for col, j in enumerate(at):  # in column order
-        if cost[col, j] < best_cost - 1e-12:
-            best_cost = float(cost[col, j])
-            threshold = (sv[col, j] + sv[col, j + 1]) / 2.0
-            best = (int(varies[col]), float(threshold), best_cost)
+    for j in at:  # in column order
+        if cost[j] < best_cost - 1e-12:
+            best_cost = float(cost[j])
+            threshold = (val[e[j]] + val[e[j] + 1]) / 2.0
+            best = (int(split_col[j]), float(threshold), best_cost)
     return best
 
 
-def _grow_tree(X, y, rows, rng: np.random.Generator, max_features: int, n_classes: int) -> Tree:
-    """One tree over the rows `rows` of the column-major X (repeats allowed).
-    Nodes are row-index arrays on a stack, right child pushed first, so the
-    feature draws and node numbers follow preorder and depth is unbounded."""
-    n_rows = X.shape[0]
-    flat = X.T.reshape(-1)  # a view: column f holds flat[f * n_rows:(f + 1) * n_rows]
+def _grow_tree(X: Csr, y, rows, rng: np.random.Generator, max_features: int, n_classes: int) -> Tree:
+    """One tree over the rows `rows` of X (repeats allowed). Nodes are
+    row-index arrays on a stack, right child pushed first, so the feature
+    draws and node numbers follow preorder and depth is unbounded."""
+    slot_of = np.full(X.shape[1], -1, dtype=np.intp)
     nodes = []  # [feature, threshold, left, right, label] per node
     stack = [(rows, None, 0)]  # (node rows, parent node, its slot for this child)
     while stack:
@@ -105,14 +180,15 @@ def _grow_tree(X, y, rows, rng: np.random.Generator, max_features: int, n_classe
         if rows.shape[0] < 2 or counts.max() == rows.shape[0]:
             continue
         features = rng.choice(X.shape[1], size=max_features, replace=False)
-        # gathered feature-major, so that each candidate's values are contiguous
-        block = flat.take(features[:, None] * n_rows + rows).T
+        block = _columns(_rows(X, rows), features, slot_of)
         split = _best_split(block, node_y, n_classes)
         if split is None:
             continue
         col, threshold, _ = split
         node[:2] = int(features[col]), threshold
-        mask = block[:, col] <= threshold
+        mask = np.full(rows.shape[0], 0 <= threshold)
+        hit = block.indices == col
+        mask[_entry_rows(block)[hit]] = block.data[hit] <= threshold
         stack += [(rows[~mask], node, 3), (rows[mask], node, 2)]
     return Tree(*(np.array(column) for column in zip(*nodes)))
 
@@ -123,16 +199,16 @@ class ForestModel:
     n_classes: int
 
 
-def train_forest(X: np.ndarray, y: Sequence[int], n_trees: int, seed: int, rows=None) -> ForestModel:
+def train_forest(X, y: Sequence[int], n_trees: int, seed: int, rows=None) -> ForestModel:
     """Bootstrap-aggregated Gini trees grown until pure or < 2 samples; each
     split samples isqrt(features) candidate features.
 
     The forest trains on the rows `rows` of X and y (repeats allowed; all
     rows by default), the same forest as on the copies X[rows], y[rows].
     Each tree draws its bootstrap and feature samples from its own child of
-    the master seed.
+    the master seed. X is a Csr or a dense array.
     """
-    X = np.asfortranarray(X)
+    X = _as_csr(X)
     y = np.asarray(y, dtype=int)
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
     if rows.shape[0] == 0 or y.shape[0] != X.shape[0]:
@@ -148,30 +224,41 @@ def train_forest(X: np.ndarray, y: Sequence[int], n_trees: int, seed: int, rows=
     return ForestModel(trees=trees, n_classes=n_classes)
 
 
-def _tree_predict(tree: Tree, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Leaf labels of the rows `rows` of X, moving them all down one level per pass."""
-    node = np.zeros(rows.shape[0], dtype=np.intp)
-    live = np.arange(rows.shape[0])
+def _tree_predict(tree: Tree, X: Csr, slot_of: np.ndarray) -> np.ndarray:
+    """Leaf labels of the rows of X, moving them all down one level per pass
+    through a dense block of their values in the tree's split features."""
+    inner = tree.left >= 0
+    features = np.unique(tree.feature[inner])
+    block = _columns(X, features, slot_of)
+    values = np.zeros(block.shape, dtype=X.data.dtype)
+    values[_entry_rows(block), block.indices] = block.data
+    flat = values.reshape(-1)
+    column = np.searchsorted(features, tree.feature)  # each split feature's column in values
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    live = np.arange(X.shape[0] if inner[0] else 0)  # the rows at inner nodes
+    at = node[live]
     while live.size:
-        at = node[live]
-        inner = tree.left[at] >= 0
-        live, at = live[inner], at[inner]
-        go_left = X[rows[live], tree.feature[at]] <= tree.threshold[at]
-        node[live] = np.where(go_left, tree.left[at], tree.right[at])
+        go_left = flat[live * features.shape[0] + column[at]] <= tree.threshold[at]
+        at = np.where(go_left, tree.left[at], tree.right[at])
+        node[live] = at
+        down = inner[at]
+        live, at = live[down], at[down]
     return tree.label[node]
 
 
-def predict_forest(model: ForestModel, X: np.ndarray, rows=None) -> np.ndarray:
-    """Majority vote over trees for the rows `rows` of X (all rows by
-    default); ties go to the lowest label index."""
+def predict_forest(model: ForestModel, X, rows=None) -> np.ndarray:
+    """Majority vote over trees for the rows `rows` of X (a Csr or a dense
+    array; all rows by default); ties go to the lowest label index."""
     if not model.trees:
         raise ValueError("empty forest")
-    X = np.asarray(X)
+    X = _as_csr(X)
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-    votes = np.zeros((rows.shape[0], model.n_classes), dtype=int)
-    each = np.arange(rows.shape[0])
+    X = _rows(X, rows)
+    slot_of = np.full(X.shape[1], -1, dtype=np.intp)
+    votes = np.zeros((X.shape[0], model.n_classes), dtype=int)
+    each = np.arange(X.shape[0])
     for tree in model.trees:
-        votes[each, _tree_predict(tree, X, rows)] += 1
+        votes[each, _tree_predict(tree, X, slot_of)] += 1
     return votes.argmax(axis=1)
 
 
@@ -186,7 +273,7 @@ class PuCandidate:
 
 
 def cv_select_pu(
-    X: np.ndarray,
+    X,
     y: Sequence[int],
     grid: Sequence[float],
     folds: int,
@@ -196,10 +283,10 @@ def cv_select_pu(
     """Pick the resampling fraction by k-fold CV of the random forest.
 
     Only the training folds are rebalanced; scores are macro-F1 on the
-    untouched held-out fold. Ties go to the smaller p_u. Folds are row
-    positions into the one column-major matrix, never copies of it.
+    untouched held-out fold. Ties go to the smaller p_u. X is a Csr or a
+    dense array; folds are row positions into its one Csr, never copies.
     """
-    X = np.asfortranarray(X)
+    X = _as_csr(X)
     y = np.asarray(y, dtype=int)
     n = y.shape[0]
     n_classes = int(y.max()) + 1

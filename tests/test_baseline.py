@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from offlang import corpus
 from offlang.baseline import (
     ForestModel,
     Tree,
+    _as_csr,
     _best_split,
     bow_matrix,
     cv_select_pu,
@@ -17,30 +19,60 @@ from offlang.baseline import (
 )
 
 
+def dense(X):
+    """The dense array of the Csr X."""
+    out = np.zeros(X.shape, dtype=X.data.dtype)
+    out[np.repeat(np.arange(X.shape[0]), np.diff(X.indptr)), X.indices] = X.data
+    return out
+
+
+def row_counts(X, row):
+    """{column: count} of one row of the Csr X."""
+    span = slice(X.indptr[row], X.indptr[row + 1])
+    return dict(zip(X.indices[span].tolist(), X.data[span].tolist()))
+
+
 class TestBowMatrix:
     def test_counts(self):
         vocab = corpus.build_vocab([["a", "b"]])
         X = bow_matrix([["a", "a", "b"]], vocab)
-        assert X[0, vocab.index("a")] == 2
-        assert X[0, vocab.index("b")] == 1
+        assert row_counts(X, 0) == {vocab.index("a"): 2, vocab.index("b"): 1}
 
     def test_empty_document(self):
         vocab = corpus.build_vocab([["a"]])
-        assert bow_matrix([[]], vocab).sum() == 0
+        X = bow_matrix([[]], vocab)
+        assert X.indptr.tolist() == [0, 0] and X.data.sum() == 0
 
     def test_unknown_token_ignored(self):
         vocab = corpus.build_vocab([["a"]])
         X = bow_matrix([["zzz", "a"]], vocab)
-        assert X.sum() == 1
+        assert X.data.sum() == 1
 
     def test_column_count_is_vocab_size(self):
         vocab = corpus.build_vocab([["a", "b", "c"]])
         assert bow_matrix([["a"]], vocab).shape == (1, vocab.size)
 
+    def test_equals_dense_counting(self):
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(30)]
+        docs = [[words[i] for i in rng.integers(0, 30, size=rng.integers(0, 12))] for _ in range(40)]
+        vocab = corpus.build_vocab(docs[:25])  # later documents hold unknown words
+        expected = np.zeros((len(docs), vocab.size), dtype=np.int32)
+        for row, doc in enumerate(docs):
+            for tok in doc:
+                if tok in vocab.token_to_index:
+                    expected[row, vocab.token_to_index[tok]] += 1
+        X = bow_matrix(docs, vocab)
+        assert X.data.dtype == np.int32 and (X.data > 0).all()
+        assert np.array_equal(dense(X), expected)
 
-def test_bow_matrix_is_column_major():
-    vocab = corpus.build_vocab([["a", "b"]])
-    assert bow_matrix([["a", "b"], ["b"]], vocab).flags.f_contiguous
+    def test_memory_grows_with_the_nonzeros(self):
+        # dense int32 counts of 3 documents over a million types would take 12 MB
+        vocab = SimpleNamespace(size=1_000_000, token_to_index={"a": 2, "b": 500_000, "c": 999_999})
+        X = bow_matrix([["a", "b", "a"], ["c"], ["b", "zzz"]], vocab)
+        assert X.shape == (3, 1_000_000) and len(X) == 3
+        assert X.nbytes == X.indptr.nbytes + X.indices.nbytes + X.data.nbytes < 2**20
+        assert [row_counts(X, row) for row in range(3)] == [{2: 2, 500_000: 1}, {999_999: 1}, {500_000: 1}]
 
 
 def brute_force_best_split(X, y):
@@ -140,6 +172,111 @@ class TestClassCounts:
             # some blocks leave the top classes out, as a node's labels do
             y = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=n)
             assert _best_split(X, y, n_classes) == cube_best_split(X, y, n_classes)
+
+
+def dense_best_split(X, y, n_classes):
+    """The split search over every value of a dense block, sorted in full:
+    the reference the nonzeros-only search must match exactly."""
+    n = y.shape[0]
+    block = X.T
+    varies = np.flatnonzero(block.min(axis=1) != block.max(axis=1))
+    if not varies.size:
+        return None
+    block = block[varies]
+    order = np.argsort(block, axis=1, kind="stable")
+    sv = np.take_along_axis(block, order, axis=1)
+    c, i = np.nonzero(sv[:, 1:] != sv[:, :-1])
+    ys = y[order]
+    n_left = i + 1
+    left_counts = np.empty((c.shape[0], n_classes), dtype=np.intp)
+    for k in range(1, n_classes):
+        left_counts[:, k] = np.cumsum(ys == k, axis=1)[c, i]
+    left_counts[:, 0] = n_left - left_counts[:, 1:].sum(axis=1)
+    right_counts = np.bincount(y, minlength=n_classes) - left_counts
+    n_right = n - n_left
+    gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+    gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+    cost = np.full(sv[:, 1:].shape, np.inf)
+    cost[c, i] = (n_left * gini_left + n_right * gini_right) / n
+    at = cost.argmin(axis=1)
+    best = None
+    best_cost = np.inf
+    for col, j in enumerate(at):
+        if cost[col, j] < best_cost - 1e-12:
+            best_cost = float(cost[col, j])
+            best = (int(varies[col]), float((sv[col, j] + sv[col, j + 1]) / 2.0), best_cost)
+    return best
+
+
+def random_block(rng, kind):
+    """A node block of one of four kinds, with all-zero and all-nonzero constant columns."""
+    n, m = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+    if kind == "signs":  # few values: ties in every column, zeros on both sides of the split
+        X = rng.integers(-2, 3, size=(n, m)) * (rng.random((n, m)) < 0.5) + 0.0
+        X[rng.random((n, m)) < 0.2] = -0.0
+    elif kind == "normal":
+        X = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.3)
+    else:  # "counts" or "bootstrap"
+        X = rng.poisson(rng.choice([0.1, 0.7, 2.0]), size=(n, m)).astype(np.int32)
+    X[:, rng.random(m) < 0.25] = 0
+    X[:, rng.random(m) < 0.15] = rng.choice([-1, 3])
+    if kind == "bootstrap":  # rows repeated, as a bootstrap sample's node holds them
+        X = X[rng.integers(0, n, size=n)]
+    return X
+
+
+class TestSparseSearch:
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+    def test_equals_the_dense_search(self, n_classes):
+        rng = np.random.default_rng(10 + n_classes)
+        kinds = ["counts", "signs", "normal", "bootstrap"]
+        splits = 0
+        for case in range(150):
+            X = random_block(rng, kinds[case % 4])
+            y = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=X.shape[0])
+            expected = dense_best_split(X, y, n_classes)
+            assert _best_split(_as_csr(X), y, n_classes) == expected
+            splits += expected is not None
+        assert splits > 50
+
+    def test_a_later_column_must_win_by_more_than_the_margin(self):
+        # column 1's best cost is below column 0's by one rounding step, 5.6e-17
+        X = np.array([[0, 1, 1, 2, 0, 1, 0, 2], [0, 0, 0, 0, 1, 0, 0, 1]]).T
+        y = np.array([2, 2, 2, 2, 0, 0, 2, 2])
+        assert _best_split(X[:, 1:], y, 3)[2] < _best_split(X[:, :1], y, 3)[2]
+        assert _best_split(_as_csr(X), y, 3) == dense_best_split(X, y, 3) == (0, 1.5, 1 / 3)
+
+    def test_zeros_sit_between_negatives_and_positives(self):
+        X = np.array([[-2.0], [0.0], [-0.0], [1.0], [0.0], [-2.0]])
+        y = np.array([1, 0, 0, 1, 0, 1])
+        assert _best_split(_as_csr(X), y, 2) == dense_best_split(X, y, 2)
+        assert _best_split(_as_csr(X), y, 2)[1] == -1.0
+
+
+def dense_walk(tree, row):
+    node = 0
+    while tree.left[node] >= 0:
+        node = tree.left[node] if row[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return tree.label[node]
+
+
+class TestTreePredict:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_dense_indexing(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.poisson(0.4, size=(150, 30)).astype(np.int32)
+        X[:, 20:] = 0  # no tree splits on these features
+        y = (X[:, :5].sum(axis=1) > X[:, 5:10].sum(axis=1)).astype(int)
+        held_out = np.concatenate((rng.integers(0, 100, size=40), np.arange(100, 150)))
+        X[120:140] = 0  # empty documents
+        X[140:] = 0
+        X[140:, 20:] = rng.poisson(2.0, size=(10, 10))  # nonzero in no split feature of any tree
+        forest = train_forest(X, y, n_trees=6, seed=seed, rows=np.arange(100))
+        for tree in forest.trees:
+            assert (tree.left >= 0).any()
+            got = predict_forest(ForestModel([tree], forest.n_classes), X, rows=held_out)
+            assert got.tolist() == [dense_walk(tree, X[row]) for row in held_out]
+            assert (got[-10:] == got[-30]).all()  # rows of zeros in every split feature share a leaf
 
 
 class TestRowPositions:
