@@ -17,11 +17,13 @@ from .corpus import Examples
 from .metrics import accuracy, confusion, prf_macro
 
 MODEL_MAGIC = b"OFLG1"
-# Rows per inference forward pass. `_forward` keeps its backward caches (every
-# LSTM step's gates and states), which grow with the rows in a pass: on a
-# V=21,229 model, 1,000 rows of 63 tokens, one BLAS thread, the tracemalloc
-# peak of `_predict_proba_arrays` was 572 MiB at 256 rows and 72 MiB at 32,
-# and 32 rows took 2.3-2.8 s against 2.6-2.9 s.
+# Rows per inference forward pass. Inference keeps no backward cache, only the
+# BiLSTM states, so its memory is small at any chunk size: on a V=21,229
+# model, 1,000 rows of 63 tokens, one BLAS thread, the tracemalloc peak of
+# `_predict_proba_arrays` was 14 MiB at 32 rows, 56 MiB at 128 and 111 MiB at
+# 256, which all took 1.9-2.6 s. Chunks of 128 or 256 rows change probabilities
+# by up to 1.1e-16 (BLAS blocks differ with the row count), so the chunk stays
+# at the 32 rows every saved prediction and validation score was made with.
 PREDICT_BATCH = 32
 # Adam gathers the embedding rows hit so far while they are at most this share
 # of the table. Past it the gather and write-back cost more than the full
@@ -184,14 +186,15 @@ def _init_head(arch: ModelArch, rng: np.random.Generator) -> dict[str, nn.Param]
     return dict(zip(HEAD_NAMES, head))
 
 
-def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float):
-    """Class probabilities and the backward cache; dropout runs only with an rng."""
+def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float, keep_cache: bool = True):
+    """Class probabilities and the backward cache, which is None without
+    `keep_cache` (inference); dropout runs only with an rng."""
     arch = params.arch
     if idx.max(initial=0) >= params.embedding.values.shape[0]:
         raise ModelError("token index out of embedding range")
     emb = params.embedding.values[idx]
     dropped, mask = nn.spatial_dropout_forward(emb, dropout_rate, rng)
-    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"))
+    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"), keep_cache)
     conv, conv_cache = nn.conv1d_forward(bi, params.conv_kernel, params.conv_bias)
     mx, mx_cache = nn.global_max_pool_forward(conv)
     av, av_shape = nn.global_avg_pool_forward(conv)
@@ -204,7 +207,7 @@ def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float):
     else:
         probs = nn.softmax(z2)
     cache = (idx, mask, bi_cache, conv_cache, mx_cache, av_shape, z1, d1_cache, d2_cache)
-    return probs, cache
+    return probs, cache if keep_cache else None
 
 
 def _head_backward(params: ModelParams, dz2: np.ndarray, cache) -> np.ndarray:
@@ -234,7 +237,7 @@ def _predict_proba_arrays(params: ModelParams, idx, uc):
     chunks = []
     for start in range(0, len(idx), PREDICT_BATCH):
         rows = slice(start, start + PREDICT_BATCH)
-        probs, _ = _forward(params, idx[rows], uc[rows], None, 0.0)
+        probs, _ = _forward(params, idx[rows], uc[rows], None, 0.0, keep_cache=False)
         chunks.append(probs)
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
@@ -406,7 +409,7 @@ def _arch(values: dict) -> ModelArch:
 def load_model(path, expected_vocab_hash: str) -> ModelParams:
     """Read a saved model; errors on a malformed header, a length or shape
     that does not fit the bytes left in the file, trailing bytes, tensors
-    that do not fit the arch, or a vocabulary hash mismatch."""
+    that do not fit the arch, NaN or inf values, or a vocabulary hash mismatch."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -447,6 +450,10 @@ def load_model(path, expected_vocab_hash: str) -> ModelParams:
         for name, shape in manifest:
             if shape != expected[name]:
                 raise ModelError(f"{path}: tensor {name} has shape {shape}, arch needs {expected[name]}")
-        tensors = {name: nn.Param(np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape))
-                   for name, shape in manifest}
+        tensors = {}
+        for name, shape in manifest:
+            values = np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+            if not np.isfinite(values).all():
+                raise ModelError(f"{path}: tensor {name} holds NaN or inf values")
+            tensors[name] = nn.Param(values)
     return ModelParams(arch, tensors)

@@ -50,12 +50,13 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dy * (x > 0.0)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, without masks: min(x, -x) is
     # -x or x exactly (-|x| would flip a NaN's sign bit), and max(e, x >= 0) is 1
-    # where x >= 0 (e <= 1 there) and e elsewhere: the two branches, bit for bit
-    e = np.exp(np.minimum(x, -x))
-    return np.maximum(e, x >= 0) / (e + 1.0)
+    # where x >= 0 (e <= 1 there) and e elsewhere: the two branches, bit for bit;
+    # `out`, when given, holds e on the way and then the result
+    e = np.exp(np.minimum(x, -x, out=out), out=out)
+    return np.divide(np.maximum(e, x >= 0), e + 1.0, out=out)
 
 
 def sigmoid_backward(dy: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -122,35 +123,46 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> L
     return LstmParams(Param(wx), Param(wh), Param(b))
 
 
-def lstm_forward(xs: np.ndarray, params: LstmParams):
-    """Run the cell over a (B, T, in) sequence; returns (B, T, h) states."""
+def _lstm_cell(z, xz_t, whT, b, h, c, gate, tc) -> None:
+    """One step: updates the state h, c (B, h) in place and writes the
+    activated gates (B, 4h) and tanh c into `gate` and `tc`; `z` is scratch."""
+    hid = h.shape[1]
+    np.matmul(h, whT, out=z)
+    z += xz_t
+    z += b
+    sigmoid(z[:, : 3 * hid], out=gate[:, : 3 * hid])
+    np.tanh(z[:, 3 * hid :], out=gate[:, 3 * hid :])
+    i, f, o, g = (gate[:, k * hid : (k + 1) * hid] for k in range(4))
+    c *= f
+    c += np.multiply(i, g, out=tc)
+    np.tanh(c, out=tc)
+    np.multiply(o, tc, out=h)
+
+
+def lstm_forward(xs: np.ndarray, params: LstmParams, keep_cache: bool = True):
+    """Run the cell over a (B, T, in) sequence; returns the (B, T, h) states and
+    the backward cache, or None without `keep_cache` (inference). Each step
+    works in one set of buffers; the cache copies each step's gates, c and tanh c."""
     B, T, _ = xs.shape
     hid = params.hidden
-    gates = np.empty((B, T, 4 * hid))  # activated, in the stacked gate layout
-    c_s = np.empty((B, T, hid))
-    tc_s = np.empty((B, T, hid))
-    h_s = np.empty((B, T, hid))
-
-    wxT = params.wx.values.T
     whT = params.wh.values.T
     b = params.b.values
-    xz = xs @ wxT  # input contribution for all timesteps at once
+    xz = xs @ params.wx.values.T  # input contribution for all timesteps at once
 
-    h = np.zeros((B, hid))
-    c = np.zeros((B, hid))
+    z, gate = np.empty((B, 4 * hid)), np.empty((B, 4 * hid))
+    h, c, tc = np.zeros((B, hid)), np.zeros((B, hid)), np.empty((B, hid))
+    h_s = np.empty((B, T, hid))
+    if keep_cache:
+        gates = np.empty((B, T, 4 * hid))  # activated, in the stacked gate layout
+        c_s = np.empty((B, T, hid))
+        tc_s = np.empty((B, T, hid))
     for t in range(T):
-        z = xz[:, t] + h @ whT + b
-        gate = gates[:, t]
-        gate[:, : 3 * hid] = sigmoid(z[:, : 3 * hid])
-        gate[:, 3 * hid :] = np.tanh(z[:, 3 * hid :])
-        i, f, o, g = (gate[:, k * hid : (k + 1) * hid] for k in range(4))
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        c_s[:, t], tc_s[:, t], h_s[:, t] = c, tc, h
+        _lstm_cell(z, xz[:, t], whT, b, h, c, gate, tc)
+        h_s[:, t] = h
+        if keep_cache:
+            gates[:, t], c_s[:, t], tc_s[:, t] = gate, c, tc
 
-    cache = (xs, params, gates, c_s, tc_s, h_s)
-    return h_s, cache
+    return h_s, (xs, params, gates, c_s, tc_s, h_s) if keep_cache else None
 
 
 def lstm_backward(dhs: np.ndarray, cache) -> np.ndarray:
@@ -187,12 +199,13 @@ def lstm_backward(dhs: np.ndarray, cache) -> np.ndarray:
     return dz_all @ params.wx.values
 
 
-def bilstm_forward(xs: np.ndarray, fwd: LstmParams, bwd: LstmParams):
-    """Both directions over (B, T, in); outputs concatenated to (B, T, 2h)."""
-    h_f, cache_f = lstm_forward(xs, fwd)
-    h_b_rev, cache_b = lstm_forward(xs[:, ::-1], bwd)
+def bilstm_forward(xs: np.ndarray, fwd: LstmParams, bwd: LstmParams, keep_cache: bool = True):
+    """Both directions over (B, T, in); outputs concatenated to (B, T, 2h).
+    Without `keep_cache` (inference) the cache is None."""
+    h_f, cache_f = lstm_forward(xs, fwd, keep_cache)
+    h_b_rev, cache_b = lstm_forward(xs[:, ::-1], bwd, keep_cache)
     out = np.concatenate([h_f, h_b_rev[:, ::-1]], axis=2)
-    return out, (cache_f, cache_b, fwd.hidden)
+    return out, (cache_f, cache_b, fwd.hidden) if keep_cache else None
 
 
 def bilstm_backward(dys: np.ndarray, cache) -> np.ndarray:

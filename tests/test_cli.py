@@ -388,6 +388,22 @@ def test_predict_on_corrupt_model_file_exits_1(tmp_path, capsys):
     assert f"error: {path}: truncated model file" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_predict_on_non_finite_weights_exits_1(tmp_path, capsys, value):
+    # such weights used to load, and every tweet got label 0 with exit code 0
+    vocab = corpus.build_vocab([["a"]])
+    vocab.save(tmp_path / "vocab.txt")
+    path = tmp_path / "model.bin"
+    params = model.build(model.ModelArch(seq_len=12, embed_dim=8, hidden=6, filters=4), [[0.0] * 8] * vocab.size, 0)
+    params.out_b.values[0] = value
+    model.save_model(params, vocab.content_hash(), path)
+    config, out = write_config(tmp_path, **{"predict.model": str(path), "predict.vocab": str(tmp_path / "vocab.txt")})
+    assert cli.main(["predict", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: tensor out_b holds NaN or inf values" in err and "Traceback" not in err
+    assert not (out / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("command, task", [("evaluate", "d"), ("predict", "d"), ("predict", 3)])
 def test_unknown_task_is_named(tmp_path, capsys, command, task):
     config, _ = write_config(tmp_path, **{"data.task": task})

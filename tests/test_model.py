@@ -4,6 +4,7 @@ import json
 import os
 import resource
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,42 @@ class TestPredict:
             assert probs.shape == (303, 3)
             assert np.array_equal(labels_from_probs(probs), labels_from_probs(results[0]))
             assert np.abs(probs - results[0]).max() <= 1e-12
+
+    @pytest.mark.parametrize("units", [1, 3])
+    @pytest.mark.parametrize("use_user_count", [False, True])
+    def test_inference_equals_the_training_forward(self, units, use_user_count):
+        # chunk by chunk, the bytes of the forward that keeps the backward cache;
+        # the last chunk is shorter than PREDICT_BATCH
+        arch = dataclasses.replace(SMALL, output_units=units, use_user_count=use_user_count)
+        params = small_params(arch)
+        examples = random_examples(arch, 12, 2 * model.PREDICT_BATCH + 13, seed=7, k=units)
+        idx, uc = examples.indices, examples.user_count
+        chunks = []
+        for start in range(0, len(idx), model.PREDICT_BATCH):
+            rows = slice(start, start + model.PREDICT_BATCH)
+            probs, cache = model._forward(params, idx[rows], uc[rows], None, 0.0)
+            assert cache is not None
+            chunks.append(probs)
+        assert len(chunks[-1]) == 13
+        assert proba(params, examples).tobytes() == np.concatenate(chunks).tobytes()
+
+    def test_inference_memory_fits_the_states_not_the_backward_cache(self, monkeypatch):
+        # In float64 arrays of (rows, seq_len, hidden), the training forward of
+        # one direction takes 11: the 4h input projection, 4h gates, c, tanh c
+        # and h. Inference holds about 6 at its peak: one direction's projection
+        # and states, the other's states, and the 2h output.
+        monkeypatch.setattr(model, "PREDICT_BATCH", 256)
+        arch = ModelArch(seq_len=63, embed_dim=8, hidden=128, filters=4, ffnn_hidden=4)
+        params = small_params(arch, vocab_size=20)
+        examples = random_examples(arch, 20, 256, seed=3)
+        tracemalloc.start()
+        try:
+            proba(params, examples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        states = 8 * 256 * arch.seq_len * arch.hidden
+        assert peak < 11 * states
 
 
 class TestEarlyStopping:
@@ -516,6 +553,18 @@ def test_corrupt_model_file_raises_model_error_naming_path(tmp_path, corrupt, me
     with pytest.raises(ModelError) as err:
         load_model(path, "aaa")
     assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["embedding", "lstm_bwd_wh", "out_b"])
+def test_non_finite_tensor_raises_model_error_naming_it(tmp_path, name, value):
+    params = small_params()
+    params.tensors[name].values.flat[-1] = value
+    path = tmp_path / "model.bin"
+    save_model(params, "aaa", path)
+    with pytest.raises(ModelError) as err:
+        load_model(path, "aaa")
+    assert str(err.value) == f"{path}: tensor {name} holds NaN or inf values"
 
 
 @pytest.fixture(scope="module")

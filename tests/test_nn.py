@@ -42,6 +42,13 @@ class TestActivations:
         expected[~pos] = ex / (1.0 + ex)
         assert nn.sigmoid(x).tobytes() == expected.tobytes()
 
+    def test_sigmoid_into_out_gives_the_same_bits(self):
+        x = np.random.default_rng(1).normal(0.0, 20.0, (6, 10))
+        buf = np.full((6, 14), 7.0)
+        assert np.shares_memory(nn.sigmoid(x[:, :8], out=buf[:, 2:10]), buf)
+        assert buf[:, 2:10].tobytes() == nn.sigmoid(x[:, :8]).tobytes()
+        assert (buf[:, :2] == 7.0).all() and (buf[:, 10:] == 7.0).all()
+
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=8))
     def test_softmax_sums_to_one(self, logits):
         out = nn.softmax(np.array(logits))
@@ -96,6 +103,29 @@ class TestLstm:
     def test_bptt_gradient_vs_finite_differences(self):
         assert check_lstm_bptt(seed=0) <= 1e-6
 
+    @pytest.mark.parametrize("batch, steps", [(1, 1), (4, 9), (32, 30)])
+    def test_states_and_cache_equal_the_allocating_loop(self, batch, steps):
+        # reference: the cell in fresh arrays at every step, in the same order
+        rng = np.random.default_rng(steps)
+        params = nn.init_lstm_params(rng, 6, 8)
+        xs = rng.normal(size=(batch, steps, 6))
+        hid, whT, b = 8, params.wh.values.T, params.b.values
+        xz = xs @ params.wx.values.T
+        h = c = np.zeros((batch, hid))
+        want = [np.empty((batch, steps, n)) for n in (4 * hid, hid, hid, hid)]
+        for t in range(steps):
+            z = xz[:, t] + h @ whT + b
+            gate = np.concatenate([nn.sigmoid(z[:, : 3 * hid]), np.tanh(z[:, 3 * hid :])], axis=1)
+            i, f, o, g = (gate[:, k * hid : (k + 1) * hid] for k in range(4))
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            for arr, value in zip(want, (gate, c, np.tanh(c), h)):
+                arr[:, t] = value
+        h_s, cache = nn.lstm_forward(xs, params)
+        assert h_s.tobytes() == want[3].tobytes()
+        for got, ref in zip(cache[2:], want):
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestBilstm:
     def test_palindrome_symmetry(self):
@@ -116,6 +146,19 @@ class TestBilstm:
 
     def test_gradient_vs_finite_differences(self):
         assert check_bilstm(seed=0) <= 1e-6
+
+    @pytest.mark.parametrize("batch, steps", [(1, 1), (3, 7), (32, 20)])
+    def test_inference_forward_equals_the_training_forward(self, batch, steps):
+        # without the cache, the same bytes
+        rng = np.random.default_rng(batch)
+        fwd, bwd = nn.init_lstm_params(rng, 5, 16), nn.init_lstm_params(rng, 5, 16)
+        xs = rng.normal(size=(batch, steps, 5))
+        out, cache = nn.bilstm_forward(xs, fwd, bwd)
+        lean, no_cache = nn.bilstm_forward(xs, fwd, bwd, keep_cache=False)
+        assert no_cache is None and cache is not None
+        assert lean.tobytes() == out.tobytes()
+        h_s, _ = nn.lstm_forward(xs, fwd)
+        assert nn.lstm_forward(xs, fwd, keep_cache=False)[0].tobytes() == h_s.tobytes()
 
 
 class TestSpatialDropout:
