@@ -4,7 +4,9 @@ cross-validated selection of the resampling fraction.
 """
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -272,6 +274,26 @@ class PuCandidate:
         return float(np.mean(self.fold_scores))
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cell_score(X: Csr, y: np.ndarray, fold_of: np.ndarray, n_classes: int, n_trees: int, seed: int,
+                cell: tuple[float, int]) -> float:
+    """Macro-F1 on the held-out fold of one (p_u, fold) cell, for a forest
+    trained on the other folds rebalanced to p_u."""
+    p_u, fold = cell
+    test_rows = np.flatnonzero(fold_of == fold)
+    train_rows = np.flatnonzero(fold_of != fold)
+    rows = train_rows[rebalance(y[train_rows], p_u, seed=seed + fold)]
+    forest = train_forest(X, y, n_trees=n_trees, seed=seed + 31 * fold, rows=rows)
+    pred = predict_forest(forest, X, rows=test_rows)
+    return prf_macro(confusion(y[test_rows], pred, n_classes)).macro_f1
+
+
 def cv_select_pu(
     X,
     y: Sequence[int],
@@ -285,6 +307,9 @@ def cv_select_pu(
     Only the training folds are rebalanced; scores are macro-F1 on the
     untouched held-out fold. Ties go to the smaller p_u. X is a Csr or a
     dense array; folds are row positions into its one Csr, never copies.
+    The (p_u, fold) cells run in forked worker processes, one per usable
+    core at most, joined before this returns; the scores do not depend on
+    the worker count.
     """
     X = _as_csr(X)
     y = np.asarray(y, dtype=int)
@@ -298,17 +323,18 @@ def cv_select_pu(
     fold_of = np.empty(n, dtype=int)
     fold_of[order] = np.arange(n) % folds
 
-    candidates = []
-    for p_u in grid:
-        scores = []
-        for fold in range(folds):
-            test_rows = np.flatnonzero(fold_of == fold)
-            train_rows = np.flatnonzero(fold_of != fold)
-            rows = train_rows[rebalance(y[train_rows], p_u, seed=seed + fold)]
-            forest = train_forest(X, y, n_trees=n_trees, seed=seed + 31 * fold, rows=rows)
-            pred = predict_forest(forest, X, rows=test_rows)
-            scores.append(prf_macro(confusion(y[test_rows], pred, n_classes)).macro_f1)
-        candidates.append(PuCandidate(p_u=float(p_u), fold_scores=scores))
+    cells = [(p_u, fold) for p_u in grid for fold in range(folds)]
+    score = partial(_cell_score, X, y, fold_of, n_classes, n_trees, seed)
+    # imported here, so the commands that start no pool do not pay about 15 ms at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # the cells never call BLAS, so forking beside a live BLAS thread pool (a 3.12+ warning) is safe
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(len(cells), _usable_cores()), mp_context=fork) as pool:
+        scores = list(pool.map(score, cells))
+    candidates = [PuCandidate(p_u=float(p_u), fold_scores=scores[i * folds:(i + 1) * folds])
+                  for i, p_u in enumerate(grid)]
 
     best = max(candidates, key=lambda c: (c.mean_macro_f1, -c.p_u))
     return best.p_u, candidates

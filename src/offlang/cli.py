@@ -402,7 +402,7 @@ def cmd_tune_pu(run: Run) -> None:
     best, candidates = baseline.cv_select_pu(X, y, grid=grid, folds=folds, n_trees=n_trees, seed=run.seed)
     baseline.write_pu_report(candidates, run.out / "pu_report.csv")
     for c in candidates:
-        print(f"p_u={c.p_u:.1f}  mean macro-F1 {c.mean_macro_f1:.4f}")
+        print(f"p_u={c.p_u}  mean macro-F1 {c.mean_macro_f1:.4f}")
     print(f"selected p_u={best}")
 
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+import multiprocessing
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -6,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from offlang import corpus
+from offlang import baseline, corpus
 from offlang.baseline import (
     ForestModel,
     Tree,
@@ -17,6 +19,8 @@ from offlang.baseline import (
     predict_forest,
     train_forest,
 )
+from offlang.metrics import confusion, prf_macro
+from offlang.resample import rebalance
 
 
 def dense(X):
@@ -430,6 +434,60 @@ class TestCvSelectPu:
         X = np.vstack([X0, X1]).astype(float)
         y = np.array([0] * 30 + [1] * 30)
         return X, y
+
+    @staticmethod
+    def _imbalanced_data(seed=5):
+        rng = np.random.default_rng(seed)
+        y = np.array([0] * 45 + [1] * 15)
+        X = rng.poisson(1.0 + y[:, None] * np.linspace(0.0, 2.0, 8), size=(60, 8))
+        return X, y
+
+    @staticmethod
+    def _serial_candidates(X, y, grid, folds, n_trees, seed):
+        """(p_u, fold scores) from the CV loop run cell by cell in this process."""
+        n_classes = int(y.max()) + 1
+        fold_of = np.empty(len(y), dtype=int)
+        fold_of[np.random.default_rng(seed).permutation(len(y))] = np.arange(len(y)) % folds
+        candidates = []
+        for p_u in grid:
+            scores = []
+            for fold in range(folds):
+                test_rows = np.flatnonzero(fold_of == fold)
+                train_rows = np.flatnonzero(fold_of != fold)
+                rows = train_rows[rebalance(y[train_rows], p_u, seed=seed + fold)]
+                forest = train_forest(X, y, n_trees=n_trees, seed=seed + 31 * fold, rows=rows)
+                pred = predict_forest(forest, X, rows=test_rows)
+                scores.append(prf_macro(confusion(y[test_rows], pred, n_classes)).macro_f1)
+            candidates.append((float(p_u), scores))
+        return candidates
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("grid, folds", [([0.5], 2), ([0.0, 0.3, 0.7, 1.0], 3)])
+    def test_worker_count_never_changes_the_scores(self, monkeypatch, cores, grid, folds):
+        X, y = self._imbalanced_data()
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(baseline, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        _, candidates = cv_select_pu(X, y, grid=grid, folds=folds, n_trees=3, seed=4)
+        assert pools == [min(cores, len(grid) * folds)]
+        assert [(c.p_u, c.fold_scores) for c in candidates] == self._serial_candidates(X, y, grid, folds, 3, 4)
+        assert not multiprocessing.active_children()
+
+    def test_a_failing_cell_raises_its_error_and_leaves_no_worker(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(baseline, "rebalance", boom)  # forked workers inherit the patch
+        X, y = self._imbalanced_data()
+        with pytest.raises(ValueError, match="^boom$"):
+            cv_select_pu(X, y, grid=[0.0, 0.5, 1.0], folds=3, n_trees=2, seed=0)
+        assert not multiprocessing.active_children()
 
     def test_balanced_classes_make_pu_inert(self):
         X, y = self._balanced_data()

@@ -1,10 +1,11 @@
 import json
+import multiprocessing
 import struct
 from dataclasses import asdict, fields
 
 import pytest
 
-from offlang import cli, corpus, embeddings, model
+from offlang import baseline, cli, corpus, embeddings, model
 from offlang.corpus import Vocabulary
 
 from conftest import OLID_FIXTURE
@@ -198,6 +199,28 @@ def test_tune_pu_writes_report(tmp_path, capsys):
     assert lines[0] == "p_u,fold0,fold1,mean_macro_f1"
     assert len(lines) == 3
     assert "selected p_u=" in capsys.readouterr().out
+
+
+def test_tune_pu_prints_each_p_u_as_the_report_does(tmp_path, capsys):
+    config, out = write_config(
+        tmp_path, **{"baseline.grid": [0.2, 0.25, 0.35], "baseline.folds": 2, "baseline.n_trees": 2}
+    )
+    assert cli.main(["tune-pu", "--config", str(config), "--task", "a"]) == 0
+    printed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.startswith("p_u=")]
+    reported = [row.split(",")[0] for row in (out / "pu_report.csv").read_text().splitlines()[1:]]
+    assert printed == [f"p_u={p_u}" for p_u in reported] == ["p_u=0.2", "p_u=0.25", "p_u=0.35"]
+
+
+def test_tune_pu_error_in_a_cell_exits_1(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(baseline, "rebalance", boom)
+    config, _ = write_config(tmp_path, **{"baseline.grid": [0.0, 1.0], "baseline.folds": 2, "baseline.n_trees": 2})
+    assert cli.main(["tune-pu", "--config", str(config), "--task", "a"]) == 1
+    err = capsys.readouterr().err
+    assert "error: boom" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
 
 
 def test_tune_hparams_writes_trace(tmp_path, capsys):
