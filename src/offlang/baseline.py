@@ -4,7 +4,6 @@ cross-validated selection of the resampling fraction.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -13,6 +12,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .metrics import confusion, prf_macro
+from .pool import forked_map
 from .resample import rebalance
 
 
@@ -274,13 +274,6 @@ class PuCandidate:
         return float(np.mean(self.fold_scores))
 
 
-def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _cell_score(X: Csr, y: np.ndarray, fold_of: np.ndarray, n_classes: int, n_trees: int, seed: int,
                 cell: tuple[float, int]) -> float:
     """Macro-F1 on the held-out fold of one (p_u, fold) cell, for a forest
@@ -324,15 +317,8 @@ def cv_select_pu(
     fold_of[order] = np.arange(n) % folds
 
     cells = [(p_u, fold) for p_u in grid for fold in range(folds)]
-    score = partial(_cell_score, X, y, fold_of, n_classes, n_trees, seed)
-    # imported here, so the commands that start no pool do not pay about 15 ms at start-up
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # the cells never call BLAS, so forking beside a live BLAS thread pool (a 3.12+ warning) is safe
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(cells), _usable_cores()), mp_context=fork) as pool:
-        scores = list(pool.map(score, cells))
+    # the cells never call BLAS (bincount, lexsort and cumsum), as forked_map requires
+    scores = list(forked_map(partial(_cell_score, X, y, fold_of, n_classes, n_trees, seed), cells))
     candidates = [PuCandidate(p_u=float(p_u), fold_scores=scores[i * folds:(i + 1) * folds])
                   for i, p_u in enumerate(grid)]
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from offlang import baseline, corpus
+from offlang import baseline, corpus, pool
 from offlang.baseline import (
     ForestModel,
     Tree,
@@ -472,7 +472,7 @@ class TestCvSelectPu:
                 pools.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(baseline, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         _, candidates = cv_select_pu(X, y, grid=grid, folds=folds, n_trees=3, seed=4)
         assert pools == [min(cores, len(grid) * folds)]

@@ -1,5 +1,7 @@
 import json
 import multiprocessing
+import os
+import signal
 import struct
 from dataclasses import asdict, fields
 
@@ -220,6 +222,34 @@ def test_tune_pu_error_in_a_cell_exits_1(tmp_path, capsys, monkeypatch):
     assert cli.main(["tune-pu", "--config", str(config), "--task", "a"]) == 1
     err = capsys.readouterr().err
     assert "error: boom" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _kill_own_process(*args, **kwargs):
+    """Stands in for work done in a pool worker: the worker dies as the
+    out-of-memory killer would end it. Module-level, so it pickles by name."""
+    assert os.getpid() != _TEST_PROCESS, "called in the test process, not in a pool worker"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_tune_pu_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(baseline, "rebalance", _kill_own_process)
+    config, _ = write_config(tmp_path, **{"baseline.grid": [0.0, 1.0], "baseline.folds": 2, "baseline.n_trees": 2})
+    assert cli.main(["tune-pu", "--config", str(config), "--task", "a"]) == 1
+    err = capsys.readouterr().err
+    assert "error: a worker process died" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
+
+
+def test_embed_train_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(embeddings, "_text_block", _kill_own_process)
+    config, _ = write_config(tmp_path)
+    assert cli.main(["embed-train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "error: a worker process died" in err and "Traceback" not in err
     assert not multiprocessing.active_children()
 
 

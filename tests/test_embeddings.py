@@ -1,14 +1,17 @@
+import concurrent.futures
 import hashlib
 import io
 import itertools
+import multiprocessing
 import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from offlang import corpus, embeddings, nn
+from offlang import corpus, embeddings, nn, pool
 from offlang.embeddings import (
     CbowTrainParams,
     FastTextModel,
@@ -317,6 +320,78 @@ class TestEmbeddingMatrix:
         matrix = build_embedding_matrix(vocab, m)
         assert np.allclose(matrix[vocab.index("a")], m.word_vector("a"))
         assert np.allclose(matrix[vocab.index("zq")], m.word_vector("zq"))
+
+
+def serial_save(model, path):
+    """The one-process writer the block save replaced: two loops, one row at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(model.tokens)} {model.cfg.buckets} {model.dim}\n")
+        for tok, row in zip(model.tokens, model.word_in):
+            fh.write(tok + " " + " ".join(map(repr, row.tolist())) + "\n")
+        for row in model.bucket_vecs:
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
+
+
+class TestBlockSave:
+    BLOCK = 8  # rows per block, set through the byte budget
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "tokens, buckets, dim",
+        [
+            (["a", "b", "c"], 4, 5),  # fewer rows than a block
+            ([f"w{i}" for i in range(BLOCK)], BLOCK, 5),  # exactly one block each
+            ([f"w{i}" for i in range(3 * BLOCK + 5)], 4 * BLOCK + 3, 5),  # several blocks plus a remainder
+            (["x", "y"], 5 * BLOCK + 1, 3),  # fewer words than a block
+            (["café", "naïve", "😀", "東京", "ß" * 20, "plain"], 2 * BLOCK + 1, 4),  # non-ASCII tokens
+            ([f"t{i}" for i in range(2 * BLOCK + 3)], 3 * BLOCK, 1),  # dim 1
+        ],
+    )
+    def test_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch, cores, tokens, buckets, dim):
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(embeddings, "_SAVE_BLOCK_BYTES", embeddings._VALUE_TEXT_BYTES * dim * self.BLOCK)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        m = FastTextModel.init(tokens, dim, NgramConfig(buckets=buckets), seed=len(tokens))
+        m.inputs[1, 0] = -0.0  # reprs of other lengths than the init draws'
+        m.inputs[-1, -1] = 1e16
+        save_fasttext(m, tmp_path / "blocks.txt")
+        serial_save(m, tmp_path / "serial.txt")
+        assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        blocks = -(-len(tokens) // self.BLOCK) - (-buckets // self.BLOCK)
+        assert pools == [min(cores, blocks)]
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_bytes_equal_the_serial_writer_at_the_default_block_size(self, tmp_path, monkeypatch, cores):
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        m = FastTextModel.init(["a", "b"], 1, NgramConfig(buckets=60_000), seed=0)
+        assert len(m.inputs) > 2 * (embeddings._SAVE_BLOCK_BYTES // embeddings._VALUE_TEXT_BYTES)  # 3 blocks
+        save_fasttext(m, tmp_path / "blocks.txt")
+        serial_save(m, tmp_path / "serial.txt")
+        assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+
+    def test_parent_memory_holds_blocks_not_the_text(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_SAVE_BLOCK_BYTES", 2**14)
+        m = FastTextModel.init([f"w{i}" for i in range(50)], 16, NgramConfig(buckets=4000), seed=0)
+        save_fasttext(m, tmp_path / "warm.txt")  # the pool's modules imported before tracing
+        path = tmp_path / "ft.txt"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_fasttext(m, path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 16 * 2**14  # the text spans more than 16 blocks
+        assert peak < size / 4, (peak, size)
 
 
 class TestSaveLoad:
