@@ -4,6 +4,7 @@ cross-validated selection of the resampling fraction.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -102,39 +103,45 @@ class Tree:
     label: np.ndarray
 
 
-def _best_split(X, y: np.ndarray, n_classes: int):
-    """Greedy Gini split over the columns of X (a Csr or a dense array),
-    searched over each column's nonzeros.
+def _split_search(col: np.ndarray, val: np.ndarray, labels: np.ndarray, n: np.ndarray, node_counts: np.ndarray,
+                  m: int) -> list:
+    """Greedy Gini splits of K nodes at once, each searched over its m
+    columns' nonzeros.
 
-    A column's zeros form one group between its negative and its positive
-    values, with the class counts that its nonzeros leave of the node's.
-    Thresholds are midpoints between consecutive distinct values; returns
-    (column, threshold, weighted_impurity) or None when every column is
-    constant. Within a column the first best threshold in value order wins;
-    across columns the first wins ties, and a later one must beat the best
-    cost by more than 1e-12.
+    Node k holds n[k] rows with class counts node_counts[k] (a K x classes
+    array) and owns the columns k*m .. k*m + m - 1 of `col`; entry i is the
+    nonzero val[i] of a row of class labels[i] in column col[i]. A column's
+    zeros form one group between its negative and its positive values, with
+    the class counts that its nonzeros leave of its node's. Thresholds are
+    midpoints between consecutive distinct values. Within a column the first
+    best threshold in value order wins; across a node's columns the first
+    wins ties, and a later one must beat the best cost by more than 1e-12.
+    The split costs come from integer prefix counts at boundaries between
+    distinct values, so they do not depend on the order of the entries.
+
+    Returns, per node, (column within the node, threshold, weighted_impurity,
+    left class counts) or None when every column is constant.
     """
-    X = _as_csr(X)
-    if not X.data.size:
-        return None
-    n, m = y.shape[0], X.shape[1]
-    labels = y[_entry_rows(X)]
-    node_counts = np.bincount(y, minlength=n_classes)
-    nonzero_counts = np.bincount(X.indices * n_classes + labels, minlength=m * n_classes).reshape(m, n_classes)
-    n_zero = n - nonzero_counts.sum(axis=1)
-    zero_cols = np.flatnonzero((n_zero > 0) & (n_zero < n))  # columns with zeros and nonzeros
+    n_nodes, n_classes = node_counts.shape
+    nonzero_counts = np.bincount(col * n_classes + labels, minlength=n_nodes * m * n_classes)
+    nonzero_counts = nonzero_counts.reshape(n_nodes * m, n_classes)
+    n_col = np.repeat(n, m)
+    n_zero = n_col - nonzero_counts.sum(axis=1)
+    zero_cols = np.flatnonzero((n_zero > 0) & (n_zero < n_col))  # columns with zeros and nonzeros
     # one entry per nonzero and one per zero group, each with its class counts
-    col = np.concatenate((X.indices, zero_cols))
-    val = np.concatenate((X.data, np.zeros(zero_cols.shape[0], dtype=X.data.dtype)))
-    counts = np.concatenate((np.eye(n_classes, dtype=np.intp)[labels], node_counts - nonzero_counts[zero_cols]))
+    col = np.concatenate((col, zero_cols))
+    val = np.concatenate((val, np.zeros(zero_cols.shape[0], dtype=val.dtype)))
+    counts = np.concatenate((np.eye(n_classes, dtype=np.intp)[labels],
+                             node_counts[zero_cols // m] - nonzero_counts[zero_cols]))
     order = np.lexsort((val, col))
     col, val = col[order], val[order]
     prefix = np.cumsum(counts[order], axis=0)
     same_col = col[1:] == col[:-1]
     # split after sorted entry e: the next one is in the same column with a larger value
     e = np.flatnonzero(same_col & (val[1:] != val[:-1]))
+    found = [None] * n_nodes
     if not e.size:
-        return None
+        return found
     # the prefix counts of the columns before each entry's, carried forward from
     # each column's start (prefix never decreases, so a running maximum carries them)
     before = np.zeros_like(prefix)
@@ -142,57 +149,162 @@ def _best_split(X, y: np.ndarray, n_classes: int):
     before[starts] = prefix[starts - 1]
     np.maximum.accumulate(before, axis=0, out=before)
     left_counts = prefix[e] - before[e]
+    split_col = col[e]
+    node = split_col // m
+    n_node = n[node]
     n_left = left_counts.sum(axis=1)
-    right_counts = node_counts - left_counts
-    n_right = n - n_left
+    right_counts = node_counts[node] - left_counts
+    n_right = n_node - n_left
     gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
     gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-    cost = (n_left * gini_left + n_right * gini_right) / n
+    cost = (n_left * gini_left + n_right * gini_right) / n_node
     # each column's first best split in value order: a stable sort by (column, cost)
-    split_col = col[e]
     by_cost = np.lexsort((cost, split_col))
     firsts = split_col[by_cost]
     at = by_cost[np.concatenate(([True], firsts[1:] != firsts[:-1]))]
 
-    best = None
-    best_cost = np.inf
-    for j in at:  # in column order
-        if cost[j] < best_cost - 1e-12:
-            best_cost = float(cost[j])
-            threshold = (val[e[j]] + val[e[j] + 1]) / 2.0
-            best = (int(split_col[j]), float(threshold), best_cost)
-    return best
+    best = [-1] * n_nodes
+    best_cost = [np.inf] * n_nodes
+    for j, c, k in zip(at.tolist(), cost[at].tolist(), node[at].tolist()):  # in column order
+        if c < best_cost[k] - 1e-12:
+            best_cost[k] = c
+            best[k] = j
+    won = [k for k in range(n_nodes) if best[k] >= 0]
+    js = np.array([best[k] for k in won], dtype=np.intp)
+    threshold = (val[e[js]] + val[e[js] + 1]) / 2.0
+    for k, column, thr, left in zip(won, (split_col[js] - node[js] * m).tolist(), threshold.tolist(),
+                                    left_counts[js].tolist()):
+        found[k] = (column, thr, best_cost[k], left)
+    return found
 
 
-def _grow_tree(X: Csr, y, rows, rng: np.random.Generator, max_features: int, n_classes: int) -> Tree:
-    """One tree over the rows `rows` of X (repeats allowed). Nodes are
-    row-index arrays on a stack, right child pushed first, so the feature
-    draws and node numbers follow preorder and depth is unbounded."""
-    slot_of = np.full(X.shape[1], -1, dtype=np.intp)
-    nodes = []  # [feature, threshold, left, right, label] per node
-    stack = [(rows, None, 0)]  # (node rows, parent node, its slot for this child)
-    while stack:
-        rows, parent, slot = stack.pop()
-        if parent is not None:
-            parent[slot] = len(nodes)
-        node_y = y[rows]
-        counts = np.bincount(node_y, minlength=n_classes)
-        node = [-1, 0.0, -1, -1, int(counts.argmax())]
-        nodes.append(node)
-        if rows.shape[0] < 2 or counts.max() == rows.shape[0]:
-            continue
-        features = rng.choice(X.shape[1], size=max_features, replace=False)
-        block = _columns(_rows(X, rows), features, slot_of)
-        split = _best_split(block, node_y, n_classes)
-        if split is None:
-            continue
-        col, threshold, _ = split
-        node[:2] = int(features[col]), threshold
-        mask = np.full(rows.shape[0], 0 <= threshold)
-        hit = block.indices == col
-        mask[_entry_rows(block)[hit]] = block.data[hit] <= threshold
-        stack += [(rows[~mask], node, 3), (rows[mask], node, 2)]
-    return Tree(*(np.array(column) for column in zip(*nodes)))
+def _best_split(X, y: np.ndarray, n_classes: int):
+    """`_split_search` on the one node of the rows of X (a Csr or a dense
+    array) with labels y: (column, threshold, weighted_impurity) or None."""
+    X = _as_csr(X)
+    node_counts = np.bincount(y, minlength=n_classes)[None]
+    found = _split_search(X.indices, X.data, y[_entry_rows(X)], np.array([y.shape[0]]), node_counts, X.shape[1])[0]
+    return found and found[:3]
+
+
+def _column_major(X: Csr, rows: np.ndarray) -> Csr:
+    """The column-major copy of X[rows] (distinct rows): the Csr of its
+    transpose, so row j lists column j's nonzeros, by position in rows."""
+    held = _rows(X, rows)
+    by_column = np.argsort(held.indices, kind="stable")
+    return _csr(held.indices[by_column], _entry_rows(held)[by_column], held.data[by_column],
+                (X.shape[1], rows.shape[0]))
+
+
+def _node_entries(postings: Csr, group: np.ndarray, trees: np.ndarray, groups: np.ndarray, features: np.ndarray):
+    """The entries of K nodes in their candidate columns, read from the
+    column-major copy `postings` of the counts (one row per column).
+
+    Node k is the row group groups[k] of tree trees[k], and features[k] holds
+    its m candidate columns. A posting belongs to node k when group[tree,
+    row] is its group. Returns, per posting kept, its node-offset column
+    k*m + slot, its value and its flat (tree, row) position in group.
+    """
+    m = features.shape[1]
+    features = features.reshape(-1)
+    starts = postings.indptr[features]
+    lens = postings.indptr[features + 1] - starts
+    ends = np.cumsum(lens)
+    at = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+    col = np.repeat(np.arange(features.shape[0]), lens)
+    node = col // m
+    cell = trees[node] * group.shape[1] + postings.indices[at]
+    keep = np.flatnonzero(group.reshape(-1)[cell] == groups[node])
+    return col[keep], postings.data[at[keep]], cell[keep]
+
+
+def _grow_trees(X: Csr, y: np.ndarray, samples: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
+                max_features: int, n_classes: int) -> list[Tree]:
+    """One tree per (sample, rng): tree t grows over the rows samples[t] of X
+    (repeats allowed) and draws each split's candidate columns from rngs[t].
+
+    The trees grow in lockstep. In each step every unfinished tree pops nodes
+    in preorder, right child pushed first, recording leaves, until it reaches
+    a node to split; its draws, node numbers and depth are those of a tree
+    grown alone. The step's nodes then share one gather from a column-major
+    copy of the counts and one `_split_search`. A node is a group of rows:
+    group[t, row] names the node of tree t that holds the row (-1 out of the
+    sample), and times[t, row] is its multiplicity in the sample. A split
+    leaves the zeros' side in its parent's group and moves the other side's
+    rows, all nonzero in the split column, to a new one.
+    """
+    present = np.zeros(X.shape[0], dtype=bool)
+    for sample in samples:
+        present[sample] = True
+    rows = np.flatnonzero(present)
+    local = np.cumsum(present) - 1  # each present row's position in rows
+    postings = _column_major(X, rows)
+    y = y[rows]
+    times = np.zeros((len(samples), rows.shape[0]), dtype=np.int32)
+    for t, sample in enumerate(samples):
+        times[t] = np.bincount(local[sample], minlength=rows.shape[0])
+    group = np.where(times > 0, 0, -1).astype(np.int32)
+    flat_group = group.reshape(-1)
+
+    nodes = [(array("q"), array("d"), array("q"), array("q"), array("q")) for _ in samples]
+    stacks = [[(0, sample.shape[0], tuple(np.bincount(y[local[sample]], minlength=n_classes).tolist()), -1, 0)]
+              for sample in samples]  # (group, rows, class counts, parent node, 1 if its right child)
+    next_group = [1] * len(samples)
+    live = list(range(len(samples)))
+    while live:
+        batch = []  # (tree, node, group, rows, class counts, candidate columns)
+        for t in live:
+            feature, threshold, left, right, label = nodes[t]
+            stack = stacks[t]
+            while stack:
+                g, n, counts, parent, is_right = stack.pop()
+                node = len(label)
+                if parent >= 0:
+                    (right if is_right else left)[parent] = node
+                top = max(counts)
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                label.append(counts.index(top))
+                if n >= 2 and top < n:
+                    batch.append((t, node, g, n, counts, rngs[t].choice(X.shape[1], size=max_features, replace=False)))
+                    break
+        if not batch:
+            break
+        trees, _, groups, sizes, class_counts, features = (np.array(field) for field in zip(*batch))
+        col, val, cell = _node_entries(postings, group, trees, groups, features)
+        copies = times.reshape(-1)[cell]
+        found = _split_search(np.repeat(col, copies), np.repeat(val, copies),
+                              np.repeat(y[cell % rows.shape[0]], copies), sizes, class_counts, max_features)
+        split_col = np.full(len(batch), -1)
+        split_threshold = np.zeros(len(batch))
+        split_group = np.zeros(len(batch), dtype=np.int32)
+        for k, ((t, node, g, n_k, counts_k, features_k), split) in enumerate(zip(batch, found)):
+            if split is None:
+                continue
+            column, thr, _, left_counts = split
+            split_col[k] = k * max_features + column
+            split_threshold[k] = thr
+            feature, threshold = nodes[t][:2]
+            feature[node] = int(features_k[column])
+            threshold[node] = thr
+            moved = split_group[k] = next_group[t]
+            next_group[t] += 1
+            zeros_left = 0 <= thr
+            n_left = sum(left_counts)
+            right_counts = tuple(c - l for c, l in zip(counts_k, left_counts))
+            stacks[t] += [(g if not zeros_left else moved, n_k - n_left, right_counts, node, 1),
+                          (g if zeros_left else moved, n_left, tuple(left_counts), node, 0)]
+        # the rows on the side of each split without the zeros move to the new group
+        k = col // max_features
+        hit = np.flatnonzero(col == split_col[k])
+        k = k[hit]
+        moves = (val[hit] <= split_threshold[k]) != (0 <= split_threshold[k])
+        flat_group[cell[hit[moves]]] = split_group[k[moves]]
+        live = [t for t in live if stacks[t]]
+    # views of the typed arrays, not copies, so the forest is held once
+    return [Tree(*(np.frombuffer(field, dtype=np.dtype(field.typecode)) for field in fields)) for fields in nodes]
 
 
 @dataclass
@@ -218,12 +330,9 @@ def train_forest(X, y: Sequence[int], n_trees: int, seed: int, rows=None) -> For
     n_classes = int(y[rows].max()) + 1
     max_features = math.isqrt(X.shape[1])
 
-    trees = []
-    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(tree_seed)
-        sample = rows[rng.integers(0, rows.shape[0], size=rows.shape[0])]
-        trees.append(_grow_tree(X, y, sample, rng, max_features, n_classes))
-    return ForestModel(trees=trees, n_classes=n_classes)
+    rngs = [np.random.default_rng(tree_seed) for tree_seed in np.random.SeedSequence(seed).spawn(n_trees)]
+    samples = [rows[rng.integers(0, rows.shape[0], size=rows.shape[0])] for rng in rngs]
+    return ForestModel(trees=_grow_trees(X, y, samples, rngs, max_features, n_classes), n_classes=n_classes)
 
 
 def _tree_predict(tree: Tree, X: Csr, slot_of: np.ndarray) -> np.ndarray:

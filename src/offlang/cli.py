@@ -26,12 +26,15 @@ class ConfigError(ValueError):
 
 def load_config(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with corpus.open_text(path) as fh:
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def cfg(config: dict, dotted: str, default=_REQUIRED):
@@ -67,7 +70,7 @@ class Run:
         return task.lower()
 
     def records(self, key: str = "data.train_path") -> list[corpus.TweetRecord]:
-        with open(_scalar(self.config, key, str), encoding="utf-8") as fh:
+        with corpus.open_text(_scalar(self.config, key, str)) as fh:
             return corpus.parse_olid(fh)
 
 
@@ -356,7 +359,7 @@ def cmd_evaluate(run: Run) -> None:
     # including those that are NULL for tasks b and c
     predictions_path = _scalar(run.config, "evaluate.predictions", str)
     predicted: dict[str, int] = {}
-    with open(predictions_path, encoding="utf-8", newline="") as fh:
+    with corpus.open_text(predictions_path, newline="") as fh:
         rows = csv.reader(fh, strict=True)
         try:
             if next(rows, None) != ["id", "label"]:

@@ -7,6 +7,7 @@ so every mark is its own token.
 
 import hashlib
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence
 
@@ -33,6 +34,26 @@ _PUNCT_RE = re.compile(r"([.,!?;:()\"'])")
 
 class CorpusError(ValueError):
     """Raised for malformed input files or label inconsistencies."""
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """`open(path)` for reading UTF-8 text. A byte sequence that is not
+    UTF-8, met while the block reads the file, ends in a CorpusError naming
+    the path and the bad byte's offset in the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # the decoder reads in chunks, so exc.start counts from the chunk's start
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            bad = exc.object[exc.start]
+            raise CorpusError(f"{path}: not UTF-8 text: byte 0x{bad:02x} at offset {exc.start}") from None
 
 
 @dataclass
@@ -186,7 +207,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             tokens = [line.rstrip("\n") for line in fh]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise CorpusError(f"{path}: not a vocabulary file (missing PAD/UNK rows)")

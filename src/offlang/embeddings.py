@@ -8,7 +8,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary
+from .corpus import PAD_INDEX, UNK_INDEX, Vocabulary, open_text
 from .nn import sigmoid
 from .pool import forked_map
 
@@ -228,16 +228,20 @@ def train_cbow(
     return model
 
 
+class VectorLineError(ValueError):
+    """A malformed line of a vector file; the message starts with its line number."""
+
+
 def _vector(parts: list[str], dim: int, line_no: int) -> np.ndarray:
     """The `dim` components of line `line_no`, checked numeric and finite."""
     if len(parts) != dim:
-        raise ValueError(f"line {line_no}: expected {dim} components, got {len(parts)}")
+        raise VectorLineError(f"line {line_no}: expected {dim} components, got {len(parts)}")
     try:
         vector = np.array([float(x) for x in parts])
     except ValueError:
-        raise ValueError(f"line {line_no}: non-numeric vector component") from None
+        raise VectorLineError(f"line {line_no}: non-numeric vector component") from None
     if not np.isfinite(vector).all():
-        raise ValueError(f"line {line_no}: non-finite vector component")
+        raise VectorLineError(f"line {line_no}: non-finite vector component")
     return vector
 
 
@@ -246,7 +250,7 @@ def _add_word(vectors: dict[str, np.ndarray], parts: list[str], dim: int, line_n
     before is an error."""
     vector = _vector(parts[1:], dim, line_no)
     if parts[0] in vectors:
-        raise ValueError(f"line {line_no}: repeated token {parts[0]!r}")
+        raise VectorLineError(f"line {line_no}: repeated token {parts[0]!r}")
     vectors[parts[0]] = vector
 
 
@@ -269,7 +273,7 @@ def load_text_embeddings(stream: IO[str]) -> dict[str, np.ndarray]:
         if dim is None:
             dim = len(parts) - 1
             if dim < 1:
-                raise ValueError(f"line {line_no}: no vector components")
+                raise VectorLineError(f"line {line_no}: no vector components")
         _add_word(vectors, parts, dim, line_no)
     return vectors
 
@@ -278,13 +282,16 @@ def load_vectors(path, cfg: NgramConfig):
     """Word vectors from a text file, its format told by the first line: the
     `V B d` header of `save_fasttext` loads a FastTextModel with `cfg`'s
     n-gram range (the file does not store it); anything else is read by
-    `load_text_embeddings`."""
-    with open(path, encoding="utf-8") as fh:
+    `load_text_embeddings`. An error names the path and the line."""
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) == 3 and all(x.isdigit() for x in header):
             return load_fasttext(path, cfg)
         fh.seek(0)
-        return load_text_embeddings(fh)
+        try:
+            return load_text_embeddings(fh)
+        except VectorLineError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def build_embedding_matrix(vocab: Vocabulary, source) -> np.ndarray:
@@ -355,7 +362,7 @@ def load_fasttext(path, cfg: NgramConfig) -> FastTextModel:
     """Load a saved model for inference (word_vector / matrix building);
     word and bucket lines get the checks of `load_text_embeddings`, and an
     error names the path and the line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or not all(x.isdecimal() for x in header):
             raise ValueError(f"{path}: fasttext header {' '.join(header)!r} is not three non-negative integers V B d")
@@ -369,7 +376,7 @@ def load_fasttext(path, cfg: NgramConfig) -> FastTextModel:
             # so a header that claims more rows than the file holds fails at
             # the file's end instead of in one huge allocation
             rows = [_vector(_split_line(fh.readline()), dim, line_no) for line_no in range(v + 2, v + buckets + 2)]
-        except ValueError as exc:
+        except VectorLineError as exc:
             raise ValueError(f"{path}: {exc}") from None
     inputs = np.array([*words.values(), *rows]).reshape(v + buckets, dim)
     return FastTextModel(list(words), dim, cfg, inputs, np.zeros((v, dim)))

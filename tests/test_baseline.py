@@ -14,6 +14,9 @@ from offlang.baseline import (
     Tree,
     _as_csr,
     _best_split,
+    _entry_rows,
+    _grow_trees,
+    _split_search,
     bow_matrix,
     cv_select_pu,
     predict_forest,
@@ -255,6 +258,62 @@ class TestSparseSearch:
         y = np.array([1, 0, 0, 1, 0, 1])
         assert _best_split(_as_csr(X), y, 2) == dense_best_split(X, y, 2)
         assert _best_split(_as_csr(X), y, 2)[1] == -1.0
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
+    def test_equals_each_node_searched_alone(self, n_classes):
+        rng = np.random.default_rng(20 + n_classes)
+        kinds = ["counts", "signs", "normal", "bootstrap"]
+        splits = 0
+        for case in range(60):
+            blocks = [random_block(rng, kinds[rng.integers(4)]) for _ in range(rng.integers(2, 7))]
+            if case % 3 == 0:
+                blocks[rng.integers(len(blocks))][:] = 0  # a node with no entries
+            m = max(block.shape[1] for block in blocks)  # every node's columns padded with zeros to m
+            blocks = [np.pad(block, ((0, 0), (0, m - block.shape[1]))).astype(float) for block in blocks]
+            ys = [rng.integers(0, int(rng.integers(1, n_classes + 1)), size=block.shape[0]) for block in blocks]
+            col, val, labels = [], [], []
+            for k, (block, y) in enumerate(zip(blocks, ys)):
+                X = _as_csr(block)
+                col.append(k * m + X.indices)
+                val.append(X.data)
+                labels.append(y[_entry_rows(X)])
+            shuffle = rng.permutation(sum(c.shape[0] for c in col))  # the entries in any order
+            found = _split_search(np.concatenate(col)[shuffle], np.concatenate(val)[shuffle],
+                                  np.concatenate(labels)[shuffle], np.array([y.shape[0] for y in ys]),
+                                  np.array([np.bincount(y, minlength=n_classes) for y in ys]), m)
+            for block, y, got in zip(blocks, ys, found, strict=True):
+                assert (got and got[:3]) == _best_split(block, y, n_classes)
+                if got:
+                    column, threshold, _, left_counts = got
+                    assert left_counts == np.bincount(y[block[:, column] <= threshold], minlength=n_classes).tolist()
+                    splits += 1
+        assert splits > 50
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", ["counts", "normal"])
+    def test_trees_equal_trees_grown_one_per_call(self, kind):
+        rng = np.random.default_rng(8)
+        if kind == "counts":
+            X = rng.poisson(0.7, size=(90, 25)).astype(np.int32)
+        else:  # negative values too, so some splits send the zeros right
+            X = rng.normal(size=(90, 25)) * (rng.random((90, 25)) < 0.4)
+        y = rng.integers(0, 3, size=90)
+        samples = [rng.integers(0, 90, size=90) for _ in range(5)]
+        ones = np.flatnonzero(y == 1)
+        samples.append(ones[rng.integers(0, ones.shape[0], size=40)])  # a pure bootstrap: its root is a leaf
+        samples.append(np.array([7]))
+        seeds = np.random.SeedSequence(3).spawn(len(samples))
+        X = _as_csr(X)
+        together = _grow_trees(X, y, samples, [np.random.default_rng(s) for s in seeds], 5, 3)
+        for sample, s, tree in zip(samples, seeds, together, strict=True):
+            (alone,) = _grow_trees(X, y, [sample], [np.random.default_rng(s)], 5, 3)
+            for f in fields(Tree):
+                assert np.array_equal(getattr(tree, f.name), getattr(alone, f.name))
+        assert [len(tree.left) for tree in together[5:]] == [1, 1]
+        assert min(len(tree.left) for tree in together[:5]) > 30
 
 
 def dense_walk(tree, row):

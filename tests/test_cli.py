@@ -559,3 +559,46 @@ def test_task_without_two_classes_is_named(tmp_path, capsys, monkeypatch, comman
     err = capsys.readouterr().err
     assert (f"error: task {task} needs at least two classes to rebalance, but "
             f"{found.format(train)}") in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("preprocess", "data.train_path"),
+    ("evaluate", "data.test_path"),
+    ("predict", "predict.vocab"),
+])
+def test_non_utf8_input_names_its_file_and_offset(tmp_path, capsys, command, key):
+    if key == "predict.vocab":  # longer than the decoder's first chunk, so the offset counts from the file's start
+        good = ("<pad>\n<unk>\n" + "".join(f"word{i}\n" for i in range(2000))).encode()
+    else:
+        good = OLID_FIXTURE.encode("utf-8")
+    offset = good.rindex(b"\n", 0, len(good) - 1) + 1  # the start of the last line
+    path = tmp_path / "bad.txt"
+    path.write_bytes(good[:offset] + b"\xff" + good[offset:])
+    config, _ = write_config(tmp_path, **{key: str(path)})
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: not UTF-8 text: byte 0xff at offset {offset}\n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("tok 0.1 x\n", "line 1: non-numeric vector component"),
+    ("tok 0.1 0.2\nother 0.1 inf\n", "line 2: non-finite vector component"),
+    ("tok 0.1 0.2\nother 0.1\n", "line 2: expected 2 components, got 1"),
+    ("tok 0.1 0.2\ntok 0.3 0.4\n", "line 2: repeated token 'tok'"),
+])
+def test_bad_external_embedding_names_its_file(tmp_path, capsys, lines, message):
+    path = tmp_path / "vectors.txt"
+    path.write_text(lines, encoding="utf-8")
+    config, _ = write_config(tmp_path, **{"embeddings.source": "external_file", "embeddings.path": str(path),
+                                          "embeddings.dim": 2})
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: {message}\n" in err and "Traceback" not in err
+
+
+def test_config_that_is_not_an_object_says_so(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]", encoding="utf-8")
+    assert cli.main(["preprocess", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {config}: config must be a JSON object, got list\n" in err and "Traceback" not in err
