@@ -70,8 +70,13 @@ class Run:
         return task.lower()
 
     def records(self, key: str = "data.train_path") -> list[corpus.TweetRecord]:
-        with corpus.open_text(_scalar(self.config, key, str)) as fh:
-            return corpus.parse_olid(fh)
+        """The records of the TSV at config key `key`; an error names the path."""
+        path = _scalar(self.config, key, str)
+        with corpus.open_text(path) as fh:
+            try:
+                return corpus.parse_olid(fh)
+            except corpus.CorpusError as exc:
+                raise corpus.CorpusError(f"{path}: {exc}") from None
 
 
 def _runner(command):

@@ -8,6 +8,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -15,15 +16,19 @@ import numpy as np
 from . import nn
 from .corpus import Examples
 from .metrics import accuracy, confusion, prf_macro
+from .pool import forked_map
 
 MODEL_MAGIC = b"OFLG1"
 # Rows per inference forward pass. Inference keeps no backward cache, only the
 # BiLSTM states, so its memory is small at any chunk size: on a V=21,229
-# model, 1,000 rows of 63 tokens, one BLAS thread, the tracemalloc peak of
-# `_predict_proba_arrays` was 14 MiB at 32 rows, 56 MiB at 128 and 111 MiB at
-# 256, which all took 1.9-2.6 s. Chunks of 128 or 256 rows change probabilities
-# by up to 1.1e-16 (BLAS blocks differ with the row count), so the chunk stays
-# at the 32 rows every saved prediction and validation score was made with.
+# model, 1,000 rows of 63 tokens, one BLAS thread and 2 cores, the caller's
+# tracemalloc peak in `_predict_proba_arrays` was 14 MiB at 32 rows, 56 MiB at
+# 128 and 111 MiB at 256; its forked worker peaked at 78, 119 and 175 MB RSS
+# (RUSAGE_CHILDREN, pages shared with the caller included). All took 1.3-1.6
+# s, against 1.6-1.8 s in the caller alone. Chunks of 128 or 256 rows change
+# probabilities by up to 1.1e-16 (BLAS blocks differ with the row count), so
+# the chunk stays at the 32 rows every saved prediction and validation score
+# was made with.
 PREDICT_BATCH = 32
 # Adam gathers the embedding rows hit so far while they are at most this share
 # of the table. Past it the gather and write-back cost more than the full
@@ -231,14 +236,20 @@ def _backward(params: ModelParams, dz2: np.ndarray, cache) -> None:
     np.add.at(params.embedding.grad, idx, demb)
 
 
+def _predict_chunk(params: ModelParams, idx, uc, start: int) -> np.ndarray:
+    rows = slice(start, start + PREDICT_BATCH)
+    probs, _ = _forward(params, idx[rows], uc[rows], None, 0.0, keep_cache=False)
+    return probs
+
+
 def _predict_proba_arrays(params: ModelParams, idx, uc):
     """Class probabilities of token indices `idx` (N, L) and @USER counts
-    `uc` (N,), in forward passes of PREDICT_BATCH rows."""
-    chunks = []
-    for start in range(0, len(idx), PREDICT_BATCH):
-        rows = slice(start, start + PREDICT_BATCH)
-        probs, _ = _forward(params, idx[rows], uc[rows], None, 0.0, keep_cache=False)
-        chunks.append(probs)
+    `uc` (N,), in forward passes of PREDICT_BATCH rows. Under a one-thread
+    BLAS the chunks are spread over forked workers on every usable core
+    (`forked_map`); each chunk is the same forward on the same rows, so the
+    bytes do not depend on where it ran."""
+    starts = range(0, len(idx), PREDICT_BATCH)
+    chunks = list(forked_map(partial(_predict_chunk, params, idx, uc), starts, calls_blas=True))
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
 

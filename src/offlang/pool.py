@@ -1,9 +1,9 @@
-"""Forked worker processes for work that never calls BLAS: `forked_map` runs
-a function over items, one worker per usable core, and yields the results in
-item order.
+"""Forked worker processes: `forked_map` runs a function over items, one
+process per usable core, and yields the results in item order.
 """
 
 import os
+import sys
 from itertools import islice
 from typing import Sequence
 
@@ -15,38 +15,95 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def forked_map(fn, items: Sequence):
-    """Yield fn(item) for each item, in item order, each computed in a worker
-    process forked from this one: one worker per usable core and never more
-    than the items, joined when the results run out.
+def _one_os_thread() -> bool:
+    """Whether this process runs a single OS thread; never true off Linux."""
+    try:
+        return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc mounted
+        return False
 
-    At most two items per worker are submitted ahead of the caller, so the
-    results waiting to be read stay few. An exception in fn is raised here
-    after the items not yet started are cancelled. A worker that dies (a
-    signal, the out-of-memory killer) raises ChildProcessError, an OSError.
 
-    fn and every item are pickled to the workers. Fork, not spawn: spawn
-    would re-import numpy and offlang in every worker. fn must not call BLAS:
-    a BLAS thread pool alive at the fork (Python 3.12+ warns of it) can
-    deadlock the child.
+# the function the workers of the current pool run, set in each worker by the
+# pool's initializer: a fork copies it, so it is never pickled
+_worker_fn = None
+
+
+def _install(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call(item):
+    return _worker_fn(item)
+
+
+def forked_map(fn, items: Sequence, *, calls_blas: bool = False):
+    """Yield fn(item) for each item, in item order.
+
+    Without `calls_blas`, every item is computed in a worker process forked
+    from this one, one worker per usable core and never more than the items,
+    while the caller only collects. fn must then call no BLAS: a BLAS thread
+    pool alive at the fork (Python 3.12+ warns of it) can deadlock the child.
+
+    With `calls_blas`, the caller computes item 0 itself, by which time a BLAS
+    that starts its threads on first use has started them. It then forks only
+    if the process runs a single OS thread, as it does under a one-thread BLAS:
+    a multi-threaded BLAS already spreads the work over the cores, and workers
+    beside it would oversubscribe them. The caller forks `min(items, usable
+    cores) - 1` workers and computes every k-th item itself, k being the
+    worker count + 1. When the check fails, it computes every item itself.
+
+    The workers are joined when the results run out. At most two items per
+    worker are submitted ahead of the caller, so the results waiting to be read
+    stay few. An exception in fn is raised here after the items not yet
+    started are cancelled. A worker that dies (a signal, the out-of-memory
+    killer) raises ChildProcessError, an OSError.
+
+    fn reaches the workers through the fork, not pickled, so its closure may
+    hold anything; the items and the results are pickled. Fork, not spawn:
+    spawn would re-import numpy and offlang in every worker.
     """
+    if not items:
+        return
+    processes = min(len(items), _usable_cores())
+    if not calls_blas:
+        yield from _pooled(fn, items, processes, stride=0, first=None)
+        return
+    first = fn(items[0])
+    if processes < 2 or not _one_os_thread():
+        yield first
+        yield from map(fn, islice(items, 1, None))
+        return
+    yield from _pooled(fn, items, processes - 1, stride=processes, first=first)
+
+
+def _pooled(fn, items: Sequence, workers: int, stride: int, first):
+    """forked_map over `workers` forked workers; the caller computes the items
+    whose position is a multiple of `stride` (none at stride 0), item 0 being
+    `first`, already computed."""
     # imported here, so the commands that start no pool do not pay about 15 ms at start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    workers = min(len(items), _usable_cores())
-    todo = iter(items)
+    def own(i: int) -> bool:
+        return stride > 0 and i % stride == 0
+
+    theirs = (i for i in range(len(items)) if not own(i))
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            ahead = [pool.submit(fn, item) for item in islice(todo, 2 * workers)]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_install, initargs=(fn,)) as pool:
+            ahead = {}
             try:
-                while ahead:
-                    result = ahead.pop(0).result()
-                    ahead += [pool.submit(fn, item) for item in islice(todo, 1)]
-                    yield result
+                for i in range(len(items)):
+                    for j in islice(theirs, 2 * workers - len(ahead)):
+                        ahead[j] = pool.submit(_call, items[j])
+                    if not own(i):
+                        yield ahead.pop(i).result()
+                    else:
+                        yield first if i == 0 else fn(items[i])
             finally:
-                for future in ahead:
+                for future in ahead.values():
                     future.cancel()
     except BrokenProcessPool as exc:
         raise ChildProcessError("a worker process died before its work was done "

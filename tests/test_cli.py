@@ -7,7 +7,7 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from offlang import baseline, cli, corpus, embeddings, model
+from offlang import baseline, cli, corpus, embeddings, model, pool
 from offlang.corpus import Vocabulary
 
 from conftest import OLID_FIXTURE
@@ -248,6 +248,32 @@ def test_embed_train_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(embeddings, "_text_block", _kill_own_process)
     config, _ = write_config(tmp_path)
     assert cli.main(["embed-train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "error: a worker process died" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
+
+
+def test_predict_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
+    # the caller computes its own chunks, so only a worker dies; the forked
+    # path opens as it would under a one-thread BLAS, on 2 cores
+    vocab = corpus.build_vocab([["a"]])
+    vocab.save(tmp_path / "vocab.txt")
+    params = model.build(model.ModelArch(seq_len=12, embed_dim=8, hidden=6, filters=4), [[0.0] * 8] * vocab.size, 0)
+    model.save_model(params, vocab.content_hash(), tmp_path / "model.bin")
+    config, _ = write_config(tmp_path, **{"predict.model": str(tmp_path / "model.bin"),
+                                          "predict.vocab": str(tmp_path / "vocab.txt")})
+    chunk = model._predict_chunk
+
+    def chunk_or_die(*args):
+        if os.getpid() != _TEST_PROCESS:
+            _kill_own_process()
+        return chunk(*args)
+
+    monkeypatch.setattr(model, "_predict_chunk", chunk_or_die)
+    monkeypatch.setattr(model, "PREDICT_BATCH", 4)  # 5 chunks of the 20 test tweets
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_one_os_thread", lambda: True)
+    assert cli.main(["predict", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "error: a worker process died" in err and "Traceback" not in err
     assert not multiprocessing.active_children()
@@ -578,6 +604,18 @@ def test_non_utf8_input_names_its_file_and_offset(tmp_path, capsys, command, key
     assert cli.main([command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: not UTF-8 text: byte 0xff at offset {offset}\n" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, key", [("preprocess", "data.train_path"), ("evaluate", "data.test_path")])
+def test_corpus_error_names_its_file(tmp_path, capsys, command, key):
+    # the train and test paths differ, so the message must say which file is at fault
+    path = tmp_path / "repeated.tsv"
+    path.write_text("id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c\n"
+                    "1\they\tNOT\tNULL\tNULL\n1\tyou\tOFF\tUNT\tNULL\n", encoding="utf-8")
+    config, _ = write_config(tmp_path, **{key: str(path)})
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 3: duplicate tweet id '1', first on line 2\n"
 
 
 @pytest.mark.parametrize("lines, message", [

@@ -1,16 +1,22 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import resource
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offlang import corpus, model, nn
+from offlang import corpus, model, nn, pool
 from offlang.corpus import Examples
 from offlang.gradcheck import max_rel_error, numeric_gradient
 from offlang.model import (
@@ -209,6 +215,100 @@ class TestPredict:
             tracemalloc.stop()
         states = 8 * 256 * arch.seq_len * arch.hidden
         assert peak < 11 * states
+
+
+def serial_proba(params, idx, uc):
+    """The reference: every PREDICT_BATCH-row chunk in this process, in order."""
+    b = model.PREDICT_BATCH
+    chunks = [model._forward(params, idx[s:s + b], uc[s:s + b], None, 0.0, keep_cache=False)[0]
+              for s in range(0, len(idx), b)]
+    return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
+class TestForkedInference:
+    """Under a one-thread BLAS, `_predict_proba_arrays` spreads its chunks over
+    the caller and forked workers; the probabilities keep the serial bytes."""
+
+    ARCH = dataclasses.replace(SMALL, output_units=3, use_user_count=True)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of every pool made."""
+        made = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                made.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        return made
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [
+        lambda k: 0,
+        lambda k: model.PREDICT_BATCH - 7,  # one chunk
+        lambda k: k * model.PREDICT_BATCH,  # exactly k chunks
+        lambda k: k * model.PREDICT_BATCH + 5,  # k + 1 chunks, the last one short
+    ], ids=["none", "one", "k", "k+1"])
+    def test_bytes_equal_the_serial_chunk_loop(self, monkeypatch, pools, cores, rows):
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pool, "_one_os_thread", lambda: True)  # as under a one-thread BLAS
+        params = small_params(self.ARCH)
+        rng = np.random.default_rng(cores)
+        idx = rng.integers(0, 12, size=(rows(cores), self.ARCH.seq_len))
+        uc = rng.integers(0, 6, size=len(idx)).astype(float)
+        probs = model._predict_proba_arrays(params, idx, uc)
+        expected = serial_proba(params, idx, uc)
+        assert probs.shape == expected.shape and probs.tobytes() == expected.tobytes()
+        processes = min(cores, -(-len(idx) // model.PREDICT_BATCH))
+        assert pools == ([processes - 1] if processes > 1 else [])
+        assert not multiprocessing.active_children()
+
+    def test_a_second_os_thread_keeps_every_chunk_in_the_caller(self, monkeypatch, pools):
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        params = small_params(self.ARCH)
+        examples = random_examples(self.ARCH, 12, 2 * model.PREDICT_BATCH + 5, seed=1, k=3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            probs = proba(params, examples)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert pools == []
+        assert probs.tobytes() == serial_proba(params, examples.indices, examples.user_count).tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or pool._usable_cores() < 2,
+                        reason="the thread check reads /proc/self/task; a fork needs 2 usable cores")
+    def test_a_one_thread_blas_forks_with_the_serial_bytes(self):
+        # no patching: the real check passes in a fresh process whose BLAS runs one thread
+        script = """
+import json, os
+import numpy as np
+from offlang import model
+arch = model.ModelArch(seq_len=10, embed_dim=8, hidden=6, filters=4, ffnn_hidden=4)
+rng = np.random.default_rng(0)
+params = model.build(arch, rng.normal(0, 0.2, size=(12, 8)), seed=0)
+idx = rng.integers(0, 12, size=(3 * model.PREDICT_BATCH + 5, arch.seq_len))
+uc = rng.integers(0, 6, size=len(idx)).astype(float)
+b = model.PREDICT_BATCH
+serial = np.concatenate([model._forward(params, idx[s:s + b], uc[s:s + b], None, 0.0, keep_cache=False)[0]
+                         for s in range(0, len(idx), b)])
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+probs = model._predict_proba_arrays(params, idx, uc)
+print(json.dumps({"forks": len(forks), "same": probs.tobytes() == serial.tobytes()}))
+"""
+        src = str(Path(model.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["forks"] >= 1 and result["same"]
 
 
 class TestEarlyStopping:
