@@ -18,11 +18,11 @@ from .resample import rebalance
 
 
 @dataclass
-class Csr:
-    """A matrix in compressed sparse rows: row i holds the values
-    data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:indptr[i + 1]],
-    and every other entry is 0. len(), .shape and .nbytes read as a dense
-    matrix's would, except that .nbytes counts the three arrays."""
+class _Compressed:
+    """A matrix of `shape` in compressed sparse storage: major line i holds
+    the values data[indptr[i]:indptr[i + 1]] at the minor positions
+    indices[indptr[i]:indptr[i + 1]], and every other entry is 0. len() counts
+    the rows, as a dense matrix's would, and .nbytes the three arrays."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -37,44 +37,46 @@ class Csr:
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
 
-def _csr(row: np.ndarray, col: np.ndarray, data: np.ndarray, shape: tuple[int, int]) -> Csr:
-    """The Csr of the entries (row, col, data), given sorted by row."""
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
-    return Csr(indptr, col, data, shape)
+class Csr(_Compressed):
+    """Compressed sparse rows: row i is major line i."""
 
 
-def _as_csr(X) -> Csr:
-    """X itself if it is a Csr, else the Csr of the dense 2-D array X."""
-    if isinstance(X, Csr):
+class Csc(_Compressed):
+    """Compressed sparse columns: column j is major line j, its rows ascending."""
+
+
+def _as_csc(X) -> Csc:
+    """X itself if it is a Csc, else the Csc of X, a Csr or a dense 2-D array."""
+    if isinstance(X, Csc):
         return X
-    X = np.asarray(X)
-    row, col = np.nonzero(X)
-    return _csr(row, col, X[row, col], X.shape)
+    if isinstance(X, Csr):
+        by_column = np.argsort(X.indices, kind="stable")
+        row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))[by_column]
+        col, data = X.indices[by_column], X.data[by_column]
+    else:
+        X = np.asarray(X)
+        col, row = np.nonzero(X.T)
+        data = X[row, col]
+    return Csc(np.searchsorted(col, np.arange(X.shape[1] + 1)), row, data, X.shape)
 
 
-def _entry_rows(X: Csr) -> np.ndarray:
-    """The row of each stored entry of X."""
-    return np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))
+def _postings(X: Csc, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in X.indices and X.data of the entries of `columns` (maybe
+    none), column by column, and each entry's slot in `columns`."""
+    starts = X.indptr[columns]
+    lens = X.indptr[columns + 1] - starts
+    ends = np.cumsum(lens)
+    at = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+    return at, np.repeat(np.arange(columns.shape[0]), lens)
 
 
-def _rows(X: Csr, rows: np.ndarray) -> Csr:
-    """X[rows] (repeats included) as a Csr."""
-    starts = X.indptr[rows]
-    lens = X.indptr[rows + 1] - starts
-    indptr = np.zeros(rows.shape[0] + 1, dtype=np.intp)
-    np.cumsum(lens, out=indptr[1:])
-    at = np.repeat(starts - indptr[:-1], lens) + np.arange(indptr[-1])
-    return Csr(indptr, X.indices[at], X.data[at], (rows.shape[0], X.shape[1]))
-
-
-def _columns(X: Csr, features: np.ndarray, slot_of: np.ndarray) -> Csr:
-    """X[:, features] as a Csr. slot_of is -1 over X's columns and is left so."""
-    slot_of[features] = np.arange(features.shape[0])
-    slot = slot_of[X.indices]
-    slot_of[features] = -1
-    keep = np.flatnonzero(slot >= 0)
-    return Csr(np.searchsorted(keep, X.indptr), slot[keep], X.data[keep], (X.shape[0], features.shape[0]))
+def _take_rows(X: Csc, rows: np.ndarray) -> Csc:
+    """X[rows] for distinct ascending rows, row i of it being rows[i]."""
+    position = np.full(X.shape[0], -1, dtype=np.intp)
+    position[rows] = np.arange(rows.shape[0])
+    row = position[X.indices]
+    keep = np.flatnonzero(row >= 0)
+    return Csc(np.searchsorted(keep, X.indptr), row[keep], X.data[keep], (rows.shape[0], X.shape[1]))
 
 
 def bow_matrix(token_lists: Sequence[list[str]], vocab: Vocabulary) -> Csr:
@@ -84,7 +86,8 @@ def bow_matrix(token_lists: Sequence[list[str]], vocab: Vocabulary) -> Csr:
     keys = [row * vocab.size + lookup[tok] for row, tokens in enumerate(token_lists) for tok in tokens if tok in lookup]
     keys, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
     row, col = np.divmod(keys, vocab.size)
-    return _csr(row, col.astype(np.intp, copy=False), counts.astype(np.int32), (len(token_lists), vocab.size))
+    return Csr(np.searchsorted(row, np.arange(len(token_lists) + 1)), col.astype(np.intp, copy=False),
+               counts.astype(np.int32), (len(token_lists), vocab.size))
 
 
 @dataclass
@@ -179,46 +182,16 @@ def _split_search(col: np.ndarray, val: np.ndarray, labels: np.ndarray, n: np.nd
 
 
 def _best_split(X, y: np.ndarray, n_classes: int):
-    """`_split_search` on the one node of the rows of X (a Csr or a dense
-    array) with labels y: (column, threshold, weighted_impurity) or None."""
-    X = _as_csr(X)
+    """`_split_search` on the one node of the rows of X (a Csc, a Csr or a
+    dense array) with labels y: (column, threshold, weighted_impurity) or None."""
+    X = _as_csc(X)
+    at, col = _postings(X, np.arange(X.shape[1]))
     node_counts = np.bincount(y, minlength=n_classes)[None]
-    found = _split_search(X.indices, X.data, y[_entry_rows(X)], np.array([y.shape[0]]), node_counts, X.shape[1])[0]
+    found = _split_search(col, X.data[at], y[X.indices[at]], np.array([y.shape[0]]), node_counts, X.shape[1])[0]
     return found and found[:3]
 
 
-def _column_major(X: Csr, rows: np.ndarray) -> Csr:
-    """The column-major copy of X[rows] (distinct rows): the Csr of its
-    transpose, so row j lists column j's nonzeros, by position in rows."""
-    held = _rows(X, rows)
-    by_column = np.argsort(held.indices, kind="stable")
-    return _csr(held.indices[by_column], _entry_rows(held)[by_column], held.data[by_column],
-                (X.shape[1], rows.shape[0]))
-
-
-def _node_entries(postings: Csr, group: np.ndarray, trees: np.ndarray, groups: np.ndarray, features: np.ndarray):
-    """The entries of K nodes in their candidate columns, read from the
-    column-major copy `postings` of the counts (one row per column).
-
-    Node k is the row group groups[k] of tree trees[k], and features[k] holds
-    its m candidate columns. A posting belongs to node k when group[tree,
-    row] is its group. Returns, per posting kept, its node-offset column
-    k*m + slot, its value and its flat (tree, row) position in group.
-    """
-    m = features.shape[1]
-    features = features.reshape(-1)
-    starts = postings.indptr[features]
-    lens = postings.indptr[features + 1] - starts
-    ends = np.cumsum(lens)
-    at = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
-    col = np.repeat(np.arange(features.shape[0]), lens)
-    node = col // m
-    cell = trees[node] * group.shape[1] + postings.indices[at]
-    keep = np.flatnonzero(group.reshape(-1)[cell] == groups[node])
-    return col[keep], postings.data[at[keep]], cell[keep]
-
-
-def _grow_trees(X: Csr, y: np.ndarray, samples: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
+def _grow_trees(X: Csc, y: np.ndarray, samples: Sequence[np.ndarray], rngs: Sequence[np.random.Generator],
                 max_features: int, n_classes: int) -> list[Tree]:
     """One tree per (sample, rng): tree t grows over the rows samples[t] of X
     (repeats allowed) and draws each split's candidate columns from rngs[t].
@@ -226,8 +199,8 @@ def _grow_trees(X: Csr, y: np.ndarray, samples: Sequence[np.ndarray], rngs: Sequ
     The trees grow in lockstep. In each step every unfinished tree pops nodes
     in preorder, right child pushed first, recording leaves, until it reaches
     a node to split; its draws, node numbers and depth are those of a tree
-    grown alone. The step's nodes then share one gather from a column-major
-    copy of the counts and one `_split_search`. A node is a group of rows:
+    grown alone. The step's nodes then share one `_postings` gather from the
+    sampled rows of X and one `_split_search`. A node is a group of rows:
     group[t, row] names the node of tree t that holds the row (-1 out of the
     sample), and times[t, row] is its multiplicity in the sample. A split
     leaves the zeros' side in its parent's group and moves the other side's
@@ -238,11 +211,12 @@ def _grow_trees(X: Csr, y: np.ndarray, samples: Sequence[np.ndarray], rngs: Sequ
         present[sample] = True
     rows = np.flatnonzero(present)
     local = np.cumsum(present) - 1  # each present row's position in rows
-    postings = _column_major(X, rows)
+    X = _take_rows(X, rows)
     y = y[rows]
-    times = np.zeros((len(samples), rows.shape[0]), dtype=np.int32)
+    n_rows = rows.shape[0]
+    times = np.zeros((len(samples), n_rows), dtype=np.int32)
     for t, sample in enumerate(samples):
-        times[t] = np.bincount(local[sample], minlength=rows.shape[0])
+        times[t] = np.bincount(local[sample], minlength=n_rows)
     group = np.where(times > 0, 0, -1).astype(np.int32)
     flat_group = group.reshape(-1)
 
@@ -273,10 +247,15 @@ def _grow_trees(X: Csr, y: np.ndarray, samples: Sequence[np.ndarray], rngs: Sequ
         if not batch:
             break
         trees, _, groups, sizes, class_counts, features = (np.array(field) for field in zip(*batch))
-        col, val, cell = _node_entries(postings, group, trees, groups, features)
+        # each candidate column's entries in the rows its node holds, by node-offset column k*m + slot
+        at, col = _postings(X, features.reshape(-1))
+        k = col // max_features
+        cell = trees[k] * n_rows + X.indices[at]
+        keep = np.flatnonzero(flat_group[cell] == groups[k])
+        col, val, cell = col[keep], X.data[at[keep]], cell[keep]
         copies = times.reshape(-1)[cell]
         found = _split_search(np.repeat(col, copies), np.repeat(val, copies),
-                              np.repeat(y[cell % rows.shape[0]], copies), sizes, class_counts, max_features)
+                              np.repeat(y[cell % n_rows], copies), sizes, class_counts, max_features)
         split_col = np.full(len(batch), -1)
         split_threshold = np.zeros(len(batch))
         split_group = np.zeros(len(batch), dtype=np.int32)
@@ -320,9 +299,9 @@ def train_forest(X, y: Sequence[int], n_trees: int, seed: int, rows=None) -> For
     The forest trains on the rows `rows` of X and y (repeats allowed; all
     rows by default), the same forest as on the copies X[rows], y[rows].
     Each tree draws its bootstrap and feature samples from its own child of
-    the master seed. X is a Csr or a dense array.
+    the master seed. X is a Csc, a Csr or a dense array.
     """
-    X = _as_csr(X)
+    X = _as_csc(X)
     y = np.asarray(y, dtype=int)
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
     if rows.shape[0] == 0 or y.shape[0] != X.shape[0]:
@@ -335,14 +314,14 @@ def train_forest(X, y: Sequence[int], n_trees: int, seed: int, rows=None) -> For
     return ForestModel(trees=_grow_trees(X, y, samples, rngs, max_features, n_classes), n_classes=n_classes)
 
 
-def _tree_predict(tree: Tree, X: Csr, slot_of: np.ndarray) -> np.ndarray:
+def _tree_predict(tree: Tree, X: Csc) -> np.ndarray:
     """Leaf labels of the rows of X, moving them all down one level per pass
     through a dense block of their values in the tree's split features."""
     inner = tree.left >= 0
     features = np.unique(tree.feature[inner])
-    block = _columns(X, features, slot_of)
-    values = np.zeros(block.shape, dtype=X.data.dtype)
-    values[_entry_rows(block), block.indices] = block.data
+    at, slot = _postings(X, features)
+    values = np.zeros((X.shape[0], features.shape[0]), dtype=X.data.dtype)
+    values[X.indices[at], slot] = X.data[at]
     flat = values.reshape(-1)
     column = np.searchsorted(features, tree.feature)  # each split feature's column in values
     node = np.zeros(X.shape[0], dtype=np.intp)
@@ -358,19 +337,19 @@ def _tree_predict(tree: Tree, X: Csr, slot_of: np.ndarray) -> np.ndarray:
 
 
 def predict_forest(model: ForestModel, X, rows=None) -> np.ndarray:
-    """Majority vote over trees for the rows `rows` of X (a Csr or a dense
-    array; all rows by default); ties go to the lowest label index."""
+    """Majority vote over trees for the rows `rows` of X (a Csc, a Csr or a
+    dense array; all rows by default); ties go to the lowest label index."""
     if not model.trees:
         raise ValueError("empty forest")
-    X = _as_csr(X)
+    X = _as_csc(X)
     rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
-    X = _rows(X, rows)
-    slot_of = np.full(X.shape[1], -1, dtype=np.intp)
+    rows, back = np.unique(rows, return_inverse=True)  # each distinct row is predicted once
+    X = _take_rows(X, rows)
     votes = np.zeros((X.shape[0], model.n_classes), dtype=int)
     each = np.arange(X.shape[0])
     for tree in model.trees:
-        votes[each, _tree_predict(tree, X, slot_of)] += 1
-    return votes.argmax(axis=1)
+        votes[each, _tree_predict(tree, X)] += 1
+    return votes.argmax(axis=1)[back]
 
 
 @dataclass
@@ -383,7 +362,7 @@ class PuCandidate:
         return float(np.mean(self.fold_scores))
 
 
-def _cell_score(X: Csr, y: np.ndarray, fold_of: np.ndarray, n_classes: int, n_trees: int, seed: int,
+def _cell_score(X: Csc, y: np.ndarray, fold_of: np.ndarray, n_classes: int, n_trees: int, seed: int,
                 cell: tuple[float, int]) -> float:
     """Macro-F1 on the held-out fold of one (p_u, fold) cell, for a forest
     trained on the other folds rebalanced to p_u."""
@@ -394,6 +373,13 @@ def _cell_score(X: Csr, y: np.ndarray, fold_of: np.ndarray, n_classes: int, n_tr
     forest = train_forest(X, y, n_trees=n_trees, seed=seed + 31 * fold, rows=rows)
     pred = predict_forest(forest, X, rows=test_rows)
     return prf_macro(confusion(y[test_rows], pred, n_classes)).macro_f1
+
+
+def cv_folds(n: int, folds: int, seed: int) -> np.ndarray:
+    """The CV fold of each of n rows: a seeded shuffle of the rows, dealt out in turn."""
+    fold_of = np.empty(n, dtype=int)
+    fold_of[np.random.default_rng(seed).permutation(n)] = np.arange(n) % folds
+    return fold_of
 
 
 def cv_select_pu(
@@ -407,24 +393,21 @@ def cv_select_pu(
     """Pick the resampling fraction by k-fold CV of the random forest.
 
     Only the training folds are rebalanced; scores are macro-F1 on the
-    untouched held-out fold. Ties go to the smaller p_u. X is a Csr or a
-    dense array; folds are row positions into its one Csr, never copies.
-    The (p_u, fold) cells run in forked worker processes, one per usable
-    core at most, joined before this returns; the scores do not depend on
-    the worker count.
+    untouched held-out fold. Ties go to the smaller p_u. X is a Csc, a Csr
+    or a dense array, made a Csc once; each forest and prediction copies its
+    rows of it. The folds are `cv_folds(len(y), folds, seed)`. The (p_u,
+    fold) cells run in forked worker processes, one per usable core at most,
+    which share the Csc through the fork and are joined before this returns;
+    the scores do not depend on the worker count.
     """
-    X = _as_csr(X)
+    X = _as_csc(X)
     y = np.asarray(y, dtype=int)
     n = y.shape[0]
     n_classes = int(y.max()) + 1
     if n // folds < n_classes:
         raise ValueError(f"folds of ~{n // folds} rows cannot cover {n_classes} classes")
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    fold_of[order] = np.arange(n) % folds
-
+    fold_of = cv_folds(n, folds, seed)
     cells = [(p_u, fold) for p_u in grid for fold in range(folds)]
     # the cells never call BLAS (bincount, lexsort and cumsum), as forked_map requires
     scores = list(forked_map(partial(_cell_score, X, y, fold_of, n_classes, n_trees, seed), cells))

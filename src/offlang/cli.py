@@ -71,7 +71,7 @@ class Run:
 
     def records(self, key: str = "data.train_path") -> list[corpus.TweetRecord]:
         """The records of the TSV at config key `key`; an error names the path."""
-        path = _scalar(self.config, key, str)
+        path = _input(self.config, key)
         with corpus.open_text(path) as fh:
             try:
                 return corpus.parse_olid(fh)
@@ -122,6 +122,14 @@ def _scalar(config: dict, dotted: str, default):
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"config key {dotted} must be finite, got {value!r}")
     return kind(value)
+
+
+def _input(config: dict, dotted: str) -> str:
+    """Config key `dotted`, the path of a file to read, which must exist."""
+    path = _scalar(config, dotted, str)
+    if not Path(path).is_file():
+        raise ConfigError(f"config key {dotted} must name a file, got {path!r}")
+    return path
 
 
 def _at_least(config: dict, dotted: str, default: int, low: int) -> int:
@@ -252,13 +260,16 @@ def _from_scratch(run: Run):
     setup = _setup(run, records, vocab, arch.seq_len)
     source = cfg(run.config, "embeddings.source", "cbow")
     if source == "cbow":
-        vectors = _train_cbow(run, records)
+        matrix = embeddings.build_embedding_matrix(vocab, _train_cbow(run, records))
     elif source == "external_file":
-        ngrams = _section(run.config, "embeddings", embeddings.NgramConfig)
-        vectors = embeddings.load_vectors(_scalar(run.config, "embeddings.path", str), ngrams)
+        path = _input(run.config, "embeddings.path")
+        vectors = embeddings.load_vectors(path, _section(run.config, "embeddings", embeddings.NgramConfig))
+        matrix = embeddings.build_embedding_matrix(vocab, vectors)
+        if matrix.shape[1] != arch.embed_dim:
+            raise ConfigError(f"{path}: {matrix.shape[1]}-component vectors do not fit embeddings.dim {arch.embed_dim}")
     else:
         raise ConfigError(f"embeddings.source must be 'cbow' or 'external_file', got {source!r}")
-    return model.build(arch, embeddings.build_embedding_matrix(vocab, vectors), run.seed), vocab, setup
+    return model.build(arch, matrix, run.seed), vocab, setup
 
 
 def _fit(run: Run, params: model.ModelParams, vocab, setup) -> model.EpochStats:
@@ -326,8 +337,9 @@ def cmd_train(run: Run) -> None:
 
 def cmd_transfer(run: Run) -> None:
     model.check_transfer_task(run.task)
-    vocab = corpus.Vocabulary.load(_scalar(run.config, "transfer.vocab", str))
-    source = model.load_model(_scalar(run.config, "transfer.source_model", str), vocab.content_hash())
+    vocab_path = _input(run.config, "transfer.vocab")
+    vocab = corpus.Vocabulary.load(vocab_path)
+    source = model.load_model(_input(run.config, "transfer.source_model"), vocab.content_hash(), vocab_path)
     setup = _setup(run, run.records(), vocab, source.arch.seq_len)
     best = _fit(run, model.transfer(source, run.task, run.seed), vocab, setup)
     print(
@@ -338,9 +350,10 @@ def cmd_transfer(run: Run) -> None:
 
 def cmd_predict(run: Run) -> None:
     task = run.task
-    vocab = corpus.Vocabulary.load(_scalar(run.config, "predict.vocab", str))
-    model_path = _scalar(run.config, "predict.model", str)
-    params = model.load_model(model_path, vocab.content_hash())
+    vocab_path = _input(run.config, "predict.vocab")
+    vocab = corpus.Vocabulary.load(vocab_path)
+    model_path = _input(run.config, "predict.model")
+    params = model.load_model(model_path, vocab.content_hash(), vocab_path)
     if params.arch.output_units != model.head_units(task):
         raise ConfigError(f"{model_path}: a {params.arch.output_units}-unit head does not fit task {task}")
     records = run.records("data.test_path")
@@ -356,13 +369,14 @@ def cmd_predict(run: Run) -> None:
 def cmd_evaluate(run: Run) -> None:
     task = run.task
     names = corpus.TASK_LABELS[task]
+    gold_path = _scalar(run.config, "data.test_path", str)
     records = corpus.filter_task(run.records("data.test_path"), task)
     gold = dict(zip((r.id for r in records), corpus.label_indices(records, task).tolist()))
     if not gold:
-        raise ConfigError(f"the gold file has no records for task {task}")
+        raise ConfigError(f"data.test_path {gold_path} holds no task {task} records")
     # ids outside the gold set are ignored: predict labels every record,
     # including those that are NULL for tasks b and c
-    predictions_path = _scalar(run.config, "evaluate.predictions", str)
+    predictions_path = _input(run.config, "evaluate.predictions")
     predicted: dict[str, int] = {}
     with corpus.open_text(predictions_path, newline="") as fh:
         rows = csv.reader(fh, strict=True)
@@ -387,7 +401,7 @@ def cmd_evaluate(run: Run) -> None:
     if missing:
         raise ConfigError(
             f"{predictions_path}: {len(missing)} of {len(gold)} gold ids have no prediction "
-            f"(first: {missing[0]!r})"
+            f"(first: {missing[0]!r} in data.test_path {gold_path})"
         )
 
     y_true = list(gold.values())
@@ -407,6 +421,17 @@ def cmd_tune_pu(run: Run) -> None:
     X = baseline.bow_matrix(tokens, corpus.build_vocab(tokens))
     y = corpus.label_indices(records, task)
 
+    # checked before cv_select_pu forks its cells, so that each error names the setting or the file and the class
+    most = len(y) // (int(y.max()) + 1)
+    if folds > most:
+        raise ConfigError(f"config key baseline.folds must be <= {most} for {len(y)} task {task} records, got {folds}")
+    fold_of = baseline.cv_folds(len(y), folds, run.seed)
+    for fold in range(folds):
+        left = [corpus.TASK_LABELS[task][label] for label in np.unique(y[fold_of != fold])]
+        if len(left) < 2:
+            path = _scalar(run.config, "data.train_path", str)
+            raise ConfigError(f"task {task} needs at least two classes to rebalance, but the training rows of fold "
+                              f"{fold} of {folds} in data.train_path {path} are all {left[0]}")
     best, candidates = baseline.cv_select_pu(X, y, grid=grid, folds=folds, n_trees=n_trees, seed=run.seed)
     baseline.write_pu_report(candidates, run.out / "pu_report.csv")
     for c in candidates:

@@ -38,10 +38,10 @@ class CorpusError(ValueError):
 
 @contextmanager
 def open_text(path, newline=None):
-    """`open(path)` for reading UTF-8 text. A byte sequence that is not
-    UTF-8, met while the block reads the file, ends in a CorpusError naming
-    the path and the bad byte's offset in the file."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """`open(path)` for reading UTF-8 text, less a leading byte-order mark. A
+    byte sequence that is not UTF-8, met while the block reads the file, ends
+    in a CorpusError naming the path and the bad byte's offset in the file."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -135,7 +135,7 @@ def parse_olid(stream: IO[str]) -> list[TweetRecord]:
     except StopIteration:
         raise CorpusError("empty stream: missing header row") from None
 
-    header = tuple(h.strip().lstrip("﻿") for h in header_line.rstrip("\r\n").split("\t"))
+    header = tuple(h.strip() for h in header_line.rstrip("\r\n").split("\t"))
     if header != OLID_HEADER[: len(header)] or len(header) < 2:
         raise CorpusError(
             f"unexpected header {header!r}; expected a prefix of {OLID_HEADER!r}"

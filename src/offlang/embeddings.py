@@ -246,11 +246,11 @@ def _vector(parts: list[str], dim: int, line_no: int) -> np.ndarray:
 
 
 def _add_word(vectors: dict[str, np.ndarray], parts: list[str], dim: int, line_no: int) -> None:
-    """Add the word line `token v1 ... vd`, split into `parts`; a token seen
-    before is an error."""
+    """Add the word line `token v1 ... vd`, split into `parts`; an empty token
+    or one seen before is an error."""
     vector = _vector(parts[1:], dim, line_no)
-    if parts[0] in vectors:
-        raise VectorLineError(f"line {line_no}: repeated token {parts[0]!r}")
+    if parts[0] in vectors or not parts[0]:
+        raise VectorLineError(f"line {line_no}: {'repeated' if parts[0] else 'empty'} token {parts[0]!r}")
     vectors[parts[0]] = vector
 
 
@@ -289,9 +289,12 @@ def load_vectors(path, cfg: NgramConfig):
             return load_fasttext(path, cfg)
         fh.seek(0)
         try:
-            return load_text_embeddings(fh)
+            vectors = load_text_embeddings(fh)
         except VectorLineError as exc:
             raise ValueError(f"{path}: {exc}") from None
+    if not vectors:
+        raise ValueError(f"{path}: no word vectors")
+    return vectors
 
 
 def build_embedding_matrix(vocab: Vocabulary, source) -> np.ndarray:

@@ -417,10 +417,11 @@ def _arch(values: dict) -> ModelArch:
     return arch
 
 
-def load_model(path, expected_vocab_hash: str) -> ModelParams:
+def load_model(path, expected_vocab_hash: str, vocab_path=None) -> ModelParams:
     """Read a saved model; errors on a malformed header, a length or shape
-    that does not fit the bytes left in the file, trailing bytes, tensors
-    that do not fit the arch, NaN or inf values, or a vocabulary hash mismatch."""
+    that does not fit the bytes left in the file, trailing bytes, tensors that
+    do not fit the arch, NaN or inf values, or a vocabulary hash mismatch
+    (which names the vocabulary file `vocab_path`, if given)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -448,7 +449,7 @@ def load_model(path, expected_vocab_hash: str) -> ModelParams:
         if vocab_hash != expected_vocab_hash:
             raise ModelError(
                 f"{path}: vocabulary hash mismatch (model {vocab_hash[:12]}…, "
-                f"expected {expected_vocab_hash[:12]}…)"
+                f"expected {expected_vocab_hash[:12]}…{f' of {vocab_path}' if vocab_path else ''})"
             )
         payload, left = sum(8 * math.prod(shape) for _, shape in manifest), size - fh.tell()
         if payload != left:

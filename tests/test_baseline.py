@@ -10,13 +10,15 @@ import pytest
 
 from offlang import baseline, corpus, pool
 from offlang.baseline import (
+    Csr,
     ForestModel,
     Tree,
-    _as_csr,
+    _as_csc,
     _best_split,
-    _entry_rows,
     _grow_trees,
+    _postings,
     _split_search,
+    _take_rows,
     bow_matrix,
     cv_select_pu,
     predict_forest,
@@ -80,6 +82,37 @@ class TestBowMatrix:
         assert X.shape == (3, 1_000_000) and len(X) == 3
         assert X.nbytes == X.indptr.nbytes + X.indices.nbytes + X.data.nbytes < 2**20
         assert [row_counts(X, row) for row in range(3)] == [{2: 2, 500_000: 1}, {999_999: 1}, {500_000: 1}]
+
+
+class TestCsc:
+    @staticmethod
+    def assert_same(a, b):
+        assert type(a) is type(b) and a.shape == b.shape
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert np.array_equal(x, y) and x.dtype == y.dtype
+
+    def test_from_a_csr_equals_from_the_dense_array(self):
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(40)]
+        docs = [[words[i] for i in rng.integers(0, 40, size=rng.integers(0, 9))] for _ in range(30)]
+        X = bow_matrix(docs, corpus.build_vocab(docs))
+        self.assert_same(_as_csc(X), _as_csc(dense(X)))
+        assert len(_as_csc(X)) == 30
+
+    def test_take_rows_equals_the_copied_rows(self):
+        rng = np.random.default_rng(4)
+        X = rng.poisson(0.5, size=(25, 12)).astype(np.int32)
+        rows = np.flatnonzero(rng.random(25) < 0.5)
+        self.assert_same(_take_rows(_as_csc(X), rows), _as_csc(X[rows]))
+
+    def test_postings_list_the_columns_in_order(self):
+        X = np.array([[0, 3, 0], [1, 0, 2], [0, 4, 5]])
+        csc = _as_csc(X)
+        at, slot = _postings(csc, np.array([2, 1]))
+        assert csc.indices[at].tolist() == [1, 2, 0, 2] and slot.tolist() == [0, 0, 1, 1]
+        assert csc.data[at].tolist() == [2, 5, 3, 4]
+        at, slot = _postings(csc, np.array([], dtype=np.intp))  # a root-leaf tree has no split features
+        assert at.size == slot.size == 0
 
 
 def brute_force_best_split(X, y):
@@ -242,7 +275,7 @@ class TestSparseSearch:
             X = random_block(rng, kinds[case % 4])
             y = rng.integers(0, int(rng.integers(1, n_classes + 1)), size=X.shape[0])
             expected = dense_best_split(X, y, n_classes)
-            assert _best_split(_as_csr(X), y, n_classes) == expected
+            assert _best_split(_as_csc(X), y, n_classes) == expected
             splits += expected is not None
         assert splits > 50
 
@@ -251,13 +284,13 @@ class TestSparseSearch:
         X = np.array([[0, 1, 1, 2, 0, 1, 0, 2], [0, 0, 0, 0, 1, 0, 0, 1]]).T
         y = np.array([2, 2, 2, 2, 0, 0, 2, 2])
         assert _best_split(X[:, 1:], y, 3)[2] < _best_split(X[:, :1], y, 3)[2]
-        assert _best_split(_as_csr(X), y, 3) == dense_best_split(X, y, 3) == (0, 1.5, 1 / 3)
+        assert _best_split(_as_csc(X), y, 3) == dense_best_split(X, y, 3) == (0, 1.5, 1 / 3)
 
     def test_zeros_sit_between_negatives_and_positives(self):
         X = np.array([[-2.0], [0.0], [-0.0], [1.0], [0.0], [-2.0]])
         y = np.array([1, 0, 0, 1, 0, 1])
-        assert _best_split(_as_csr(X), y, 2) == dense_best_split(X, y, 2)
-        assert _best_split(_as_csr(X), y, 2)[1] == -1.0
+        assert _best_split(_as_csc(X), y, 2) == dense_best_split(X, y, 2)
+        assert _best_split(_as_csc(X), y, 2)[1] == -1.0
 
 
 class TestBatchedSearch:
@@ -275,10 +308,10 @@ class TestBatchedSearch:
             ys = [rng.integers(0, int(rng.integers(1, n_classes + 1)), size=block.shape[0]) for block in blocks]
             col, val, labels = [], [], []
             for k, (block, y) in enumerate(zip(blocks, ys)):
-                X = _as_csr(block)
-                col.append(k * m + X.indices)
-                val.append(X.data)
-                labels.append(y[_entry_rows(X)])
+                rows, cols = np.nonzero(block)
+                col.append(k * m + cols)
+                val.append(block[rows, cols])
+                labels.append(y[rows])
             shuffle = rng.permutation(sum(c.shape[0] for c in col))  # the entries in any order
             found = _split_search(np.concatenate(col)[shuffle], np.concatenate(val)[shuffle],
                                   np.concatenate(labels)[shuffle], np.array([y.shape[0] for y in ys]),
@@ -306,7 +339,7 @@ class TestLockstep:
         samples.append(ones[rng.integers(0, ones.shape[0], size=40)])  # a pure bootstrap: its root is a leaf
         samples.append(np.array([7]))
         seeds = np.random.SeedSequence(3).spawn(len(samples))
-        X = _as_csr(X)
+        X = _as_csc(X)
         together = _grow_trees(X, y, samples, [np.random.default_rng(s) for s in seeds], 5, 3)
         for sample, s, tree in zip(samples, seeds, together, strict=True):
             (alone,) = _grow_trees(X, y, [sample], [np.random.default_rng(s)], 5, 3)
@@ -566,3 +599,31 @@ class TestCvSelectPu:
         y = np.array([0, 1, 2, 0, 1, 2])
         with pytest.raises(ValueError, match="folds"):
             cv_select_pu(X, y, grid=[0.5], folds=6, n_trees=2, seed=0)
+
+
+def olid_counts(seed=0, n=13_240, columns=21_000, per_row=22):
+    """Seeded counts of OLID's shape: Zipf-like column draws, about 20
+    nonzeros per row, and a third of the rows in class 1, which draws some
+    of its words from 60 marker columns."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.33).astype(int)
+    cdf = np.cumsum(1.0 / np.arange(3, columns + 3) ** 1.1)
+    lens = rng.poisson(per_row, size=n)
+    row = np.repeat(np.arange(n), lens)
+    col = np.searchsorted(cdf, rng.random(lens.sum()) * cdf[-1])
+    marked = (y[row] == 1) & (rng.random(row.shape[0]) < 0.15)
+    col[marked] = rng.integers(200, 260, size=np.count_nonzero(marked))
+    keys, counts = np.unique(row * columns + col, return_counts=True)
+    row, col = np.divmod(keys, columns)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return Csr(indptr, col, counts.astype(np.int32), (n, columns)), y
+
+
+def test_cv_at_olid_size_pinned():
+    # row counts and cell indices at real size; the scores were pinned when
+    # the forest still read row-major copies of the counts
+    X, y = olid_counts()
+    assert X.data.shape == (268_293,)
+    _, (candidate,) = cv_select_pu(X, y, grid=[0.0], folds=2, n_trees=2, seed=0)
+    assert candidate.fold_scores == [0.7184011172754703, 0.7407996383178541]

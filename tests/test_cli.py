@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import signal
 import struct
+import tempfile
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offlang import baseline, cli, corpus, embeddings, model, pool
 from offlang.corpus import Vocabulary
@@ -502,6 +507,7 @@ def test_unknown_task_is_named(tmp_path, capsys, command, task):
     ("tune-pu", "baseline.grid", []),
     ("tune-pu", "baseline.grid", [True]),
     ("tune-pu", "baseline.folds", 0),
+    ("tune-pu", "baseline.folds", 11),  # folds of one row cannot hold both classes
     ("tune-pu", "baseline.n_trees", 0),
     ("tune-hparams", "hpo.n_init", 0),
     ("tune-hparams", "hpo.n_iter", -1),
@@ -640,3 +646,237 @@ def test_config_that_is_not_an_object_says_so(tmp_path, capsys):
     assert cli.main(["preprocess", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"error: {config}: config must be a JSON object, got list\n" in err and "Traceback" not in err
+
+
+def test_fold_that_leaves_one_class_is_named(tmp_path, capsys):
+    # the one OFF row sits in one of the 3 folds, so that fold trains on NOT rows alone
+    train = tmp_path / "train.tsv"
+    rows = [OLID_FIXTURE.splitlines()[0]] + [f"{i}\tyou are all lovely {i}\t{'OFF' if i == 1 else 'NOT'}\t"
+                                             f"{'UNT' if i == 1 else 'NULL'}\tNULL" for i in range(1, 31)]
+    train.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config, out = write_config(tmp_path, **{"baseline.grid": [0.0], "baseline.folds": 3, "baseline.n_trees": 1})
+    assert cli.main(["tune-pu", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: task a needs at least two classes to rebalance, but the training rows of fold 1 of 3 "
+                   f"in data.train_path {train} are all NOT\n")
+    assert not (out / "pu_report.csv").exists() and not multiprocessing.active_children()
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_bom_train_file_reads_as_without(tmp_path, capsys):
+    config, out = write_config(tmp_path)
+    assert cli.main(["preprocess", "--config", str(config)]) == 0
+    plain = (out / "clean.tsv").read_bytes(), (out / "vocab.txt").read_bytes()
+    (tmp_path / "train.tsv").write_bytes(BOM + OLID_FIXTURE.encode("utf-8"))
+    assert cli.main(["preprocess", "--config", str(config)]) == 0
+    assert ((out / "clean.tsv").read_bytes(), (out / "vocab.txt").read_bytes()) == plain
+
+
+def test_bom_predictions_file_is_read(tmp_path, capsys):
+    config = write_predictions(tmp_path, ALL_OFF)
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_bytes(BOM + predictions.read_bytes())
+    assert cli.main(["evaluate", "--config", str(config)]) == 0
+    assert "macro-F1" in capsys.readouterr().out
+
+
+def test_bom_config_is_read(tmp_path, capsys):
+    config, out = write_config(tmp_path)
+    config.write_bytes(BOM + config.read_bytes())
+    assert cli.main(["preprocess", "--config", str(config)]) == 0
+    assert json.loads((out / "run.json").read_text())["config"]["data"]["task"] == "a"
+
+
+def test_non_utf8_byte_after_a_bom_counts_the_bom_in_its_offset(tmp_path, capsys):
+    good = OLID_FIXTURE.encode("utf-8")
+    offset = good.rindex(b"\n", 0, len(good) - 1) + 1
+    (tmp_path / "train.tsv").write_bytes(BOM + good[:offset] + b"\xff" + good[offset:])
+    config, _ = write_config(tmp_path)
+    assert cli.main(["preprocess", "--config", str(config)]) == 1
+    path = tmp_path / "train.tsv"
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: byte 0xff at offset {offset + 3}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no word vectors"),
+    ("tok 0.1 0.2\n 0.3 0.4\n", "line 2: empty token ''"),
+    ("tok 0.1 0.2 0.3\n", "3-component vectors do not fit embeddings.dim 2"),
+])
+def test_unusable_external_embedding_names_its_file(tmp_path, capsys, text, message):
+    path = tmp_path / "vectors.txt"
+    path.write_text(text, encoding="utf-8")
+    config, _ = write_config(tmp_path, **{"embeddings.source": "external_file", "embeddings.path": str(path),
+                                          "embeddings.dim": 2})
+    assert cli.main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command, key", [
+    ("preprocess", "data.train_path"), ("evaluate", "data.test_path"), ("evaluate", "evaluate.predictions"),
+    ("predict", "predict.vocab"), ("predict", "predict.model"),
+])
+def test_missing_input_names_its_key(tmp_path, capsys, command, key):
+    corpus.build_vocab([["a"]]).save(tmp_path / "vocab.txt")
+    config, _ = write_config(tmp_path, **{"predict.vocab": str(tmp_path / "vocab.txt"), key: str(tmp_path / "missing")})
+    assert cli.main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: config key {key} must name a file, got '{tmp_path / 'missing'}'\n"
+
+
+def test_vocabulary_that_does_not_fit_the_model_is_named(tmp_path, capsys):
+    config, out = write_config(tmp_path, **{"model.max_epochs": 1})
+    assert cli.main(["train", "--config", str(config)]) == 0
+    other = tmp_path / "other_vocab.txt"
+    other.write_text("<pad>\n<unk>\nonly\n", encoding="utf-8")
+    pred_config, _ = write_config(tmp_path, out_name="pred", **{"predict.model": str(out / "model.bin"),
+                                                                "predict.vocab": str(other)})
+    assert cli.main(["predict", "--config", str(pred_config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'model.bin'}: vocabulary hash mismatch") and f" of {other})" in err
+
+
+def test_gold_file_errors_name_it(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(OLID_FIXTURE.replace("\n2\t", "\n2x\t"), encoding="utf-8")
+    config = write_predictions(tmp_path, ALL_OFF)
+    config.write_text(config.read_text().replace(str(tmp_path / "train.tsv"), str(gold)), encoding="utf-8")
+    assert cli.main(["evaluate", "--config", str(config)]) == 1
+    assert f"1 of 20 gold ids have no prediction (first: '2x' in data.test_path {gold})" in capsys.readouterr().err
+    gold.write_text("id\ttweet\tsubtask_a\n1\thello\tNOT\n", encoding="utf-8")
+    assert cli.main(["evaluate", "--config", str(config), "--task", "b"]) == 1
+    assert capsys.readouterr().err == f"error: data.test_path {gold} holds no task b records\n"
+
+
+# one mutated input per example: input -> (its config key, the command that reads it)
+FUZZED_INPUTS = {
+    "train.tsv": ("data.train_path", "preprocess"),
+    "test.tsv": ("data.test_path", "evaluate"),
+    "vocab.txt": ("predict.vocab", "predict"),
+    "model.bin": ("predict.model", "predict"),
+    "vectors.txt": ("embeddings.path", "train"),
+    "predictions.csv": ("evaluate.predictions", "evaluate"),
+    "config.json": (None, None),
+}
+# every command reads the config; none of these runs long at the fuzzed config's sizes
+CONFIG_COMMANDS = ["preprocess", "stats", "resample-report", "embed-train", "train", "tune-pu", "evaluate", "predict"]
+# deleting one of these keys would run the command at its full-size default
+FULL_SIZE_DEFAULTS = {"embeddings.buckets", "embeddings.dim", "embeddings.epochs", "baseline.grid", "baseline.folds",
+                      "baseline.n_trees"}
+PIECES = st.one_of(st.binary(min_size=1, max_size=6), st.sampled_from(
+    [b"\t", b"\n", b"\r\n", b" ", b",", b'"', b"\x00", b"\xff", BOM, b"nan", b"inf", b"-1", b"0", b"1e308", b"NULL",
+     b"OFF", b"TIN", b"<unk>", b"{}", b"[]", b"null"]))
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(-2.0, 2.0),
+                        st.sampled_from([float("nan"), float("inf"), 0.5, 1.0]), st.text(max_size=6),
+                        st.lists(st.integers(-1, 2), max_size=3), st.just({}))
+
+
+@st.composite
+def byte_edits(draw, data: bytes) -> bytes:
+    """data after one to three edits: a replaced, inserted or deleted run of
+    bytes, a truncation, or a repeated run."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 16)))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "truncate", "repeat"]))
+        if kind == "replace":
+            data = data[:i] + draw(PIECES) + data[j:]
+        elif kind == "insert":
+            data = data[:i] + draw(PIECES) + data[i:]
+        elif kind == "delete":
+            data = data[:i] + data[j:]
+        elif kind == "truncate":
+            data = data[:i]
+        else:
+            data = data[:j] + data[i:]
+    return data
+
+
+def _leaves(config: dict, prefix=""):
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+@st.composite
+def config_edits(draw, config: dict) -> bytes:
+    """The config's bytes after one edit: a key set to another JSON value,
+    deleted or added, or the bytes edited."""
+    config = json.loads(json.dumps(config))
+    kind = draw(st.sampled_from(["set", "delete", "add", "bytes"]))
+    if kind == "bytes":
+        return draw(byte_edits(json.dumps(config, indent=1).encode()))
+    keys = [key for key in _leaves(config) if kind != "delete" or key not in FULL_SIZE_DEFAULTS]
+    dotted = draw(st.sampled_from(keys))
+    if kind == "add":
+        dotted = dotted.rsplit(".", 1)[0] + "." + draw(st.sampled_from(["extra", "seed", "lr", "task"]))
+    *path, last = dotted.split(".")
+    node = config
+    for part in path:
+        node = node[part]
+    if kind == "delete":
+        del node[last]
+    else:
+        node[last] = draw(JSON_VALUES)
+    return json.dumps(config).encode()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """(directory of good inputs, the config that reads them) for the fuzz test."""
+    base = tmp_path_factory.mktemp("fuzz")
+    config, out = write_config(base, **{"model.max_epochs": 1, "baseline.grid": [0.0, 1.0], "baseline.folds": 2,
+                                        "baseline.n_trees": 2})
+    (base / "test.tsv").write_text(OLID_FIXTURE, encoding="utf-8")
+    for command in ("embed-train", "train"):
+        assert cli.main([command, "--config", str(config)]) == 0
+    good = json.loads(config.read_text())
+    good["data"]["test_path"] = str(base / "test.tsv")
+    good["embeddings"].update(source="external_file", path=str(base / "vectors.txt"))
+    good["predict"] = {"model": str(base / "model.bin"), "vocab": str(base / "vocab.txt")}
+    good["evaluate"] = {"predictions": str(base / "predictions.csv")}
+    for name in ("vocab.txt", "model.bin"):
+        os.replace(out / name, base / name)
+    os.replace(out / "fasttext.txt", base / "vectors.txt")
+    config.write_text(json.dumps(good), encoding="utf-8")
+    assert cli.main(["predict", "--config", str(config)]) == 0
+    os.replace(out / "predictions.csv", base / "predictions.csv")
+    return base, good
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_input_ends_in_success_or_a_named_error(fuzz_inputs, data):
+    base, good = fuzz_inputs
+    name = data.draw(st.sampled_from(sorted(FUZZED_INPUTS)))
+    key, command = FUZZED_INPUTS[name]
+    config = json.loads(json.dumps(good))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config["output"]["dir"] = str(tmp / "out")
+        path = tmp / name
+        if key is None:  # a config error names the file or the key at fault
+            command = data.draw(st.sampled_from(CONFIG_COMMANDS))
+            mutated = data.draw(config_edits(config))
+            named = [str(path), "config key ", *_leaves(good)]
+        else:
+            section, last = key.split(".")
+            config[section][last] = str(path)
+            mutated = data.draw(byte_edits((base / name).read_bytes()))
+            named = [str(path)]
+            (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        path.write_bytes(mutated)
+        stderr = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a mutated output.dir lands in the example's directory
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main([command, "--config", str(tmp / "config.json")])
+        finally:
+            os.chdir(cwd)
+    err = stderr.getvalue()
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert code == 0 or (code == 1 and len(errors) == 1 and any(n in errors[0] for n in named)), (name, command, err)
+    assert not multiprocessing.active_children()
