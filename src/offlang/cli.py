@@ -263,8 +263,13 @@ def _from_scratch(run: Run):
         matrix = embeddings.build_embedding_matrix(vocab, _train_cbow(run, records))
     elif source == "external_file":
         path = _input(run.config, "embeddings.path")
-        vectors = embeddings.load_vectors(path, _section(run.config, "embeddings", embeddings.NgramConfig))
-        matrix = embeddings.build_embedding_matrix(vocab, vectors)
+        ngrams = _section(run.config, "embeddings", embeddings.NgramConfig)
+        vectors = embeddings.load_vectors(path, ngrams)
+        try:
+            matrix = embeddings.build_embedding_matrix(vocab, vectors)
+        except ValueError as exc:  # a word without n-grams in the range, which the file does not store
+            raise ConfigError(f"{path}: {exc} under embeddings.min_ngram {ngrams.min_ngram} and "
+                              f"embeddings.max_ngram {ngrams.max_ngram}") from None
         if matrix.shape[1] != arch.embed_dim:
             raise ConfigError(f"{path}: {matrix.shape[1]}-component vectors do not fit embeddings.dim {arch.embed_dim}")
     else:
@@ -296,7 +301,11 @@ def cmd_preprocess(run: Run) -> None:
 
 def cmd_stats(run: Run) -> None:
     task = run.task
-    stats = corpus.user_count_stats(corpus.filter_task(run.records(), task), task)
+    records = corpus.filter_task(run.records(), task)
+    try:
+        stats = corpus.user_count_stats(records, task)
+    except corpus.CorpusError as exc:  # a class without records
+        raise corpus.CorpusError(f"data.train_path {_scalar(run.config, 'data.train_path', str)} holds {exc}") from None
     lines = ["class\tmean\tstd"]
     for name in corpus.TASK_LABELS[task]:
         mean, std = stats[name]

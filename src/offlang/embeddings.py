@@ -367,8 +367,9 @@ def load_fasttext(path, cfg: NgramConfig) -> FastTextModel:
     error names the path and the line."""
     with open_text(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3 or not all(x.isdecimal() for x in header):
-            raise ValueError(f"{path}: fasttext header {' '.join(header)!r} is not three non-negative integers V B d")
+        if len(header) != 3 or not all(x.isdecimal() for x in header) or int(header[1]) < 1:
+            raise ValueError(f"{path}: fasttext header {' '.join(header)!r} is not three non-negative integers V B d "
+                             f"with B >= 1")
         v, buckets, dim = (int(x) for x in header)
         words: dict[str, np.ndarray] = {}
         try:

@@ -4,6 +4,7 @@ process per usable core, and yields the results in item order.
 
 import os
 import sys
+from collections import deque
 from itertools import islice
 from typing import Sequence
 
@@ -40,18 +41,17 @@ def _call(item):
 def forked_map(fn, items: Sequence, *, calls_blas: bool = False):
     """Yield fn(item) for each item, in item order.
 
-    Without `calls_blas`, every item is computed in a worker process forked
-    from this one, one worker per usable core and never more than the items,
-    while the caller only collects. fn must then call no BLAS: a BLAS thread
+    The items are computed in worker processes forked from this one, one
+    worker per usable core and never more than the items, while the caller
+    only collects. Without `calls_blas`, fn must call no BLAS: a BLAS thread
     pool alive at the fork (Python 3.12+ warns of it) can deadlock the child.
 
     With `calls_blas`, the caller computes item 0 itself, by which time a BLAS
-    that starts its threads on first use has started them. It then forks only
-    if the process runs a single OS thread, as it does under a one-thread BLAS:
-    a multi-threaded BLAS already spreads the work over the cores, and workers
-    beside it would oversubscribe them. The caller forks `min(items, usable
-    cores) - 1` workers and computes every k-th item itself, k being the
-    worker count + 1. When the check fails, it computes every item itself.
+    that starts its threads on first use has started them. The rest go to the
+    workers only if at least two would run and the process runs a single OS
+    thread, as it does under a one-thread BLAS: a multi-threaded BLAS already
+    spreads the work over the cores, and workers beside it would oversubscribe
+    them. Otherwise the caller computes the rest too.
 
     The workers are joined when the results run out. At most two items per
     worker are submitted ahead of the caller, so the results waiting to be read
@@ -65,45 +65,34 @@ def forked_map(fn, items: Sequence, *, calls_blas: bool = False):
     """
     if not items:
         return
-    processes = min(len(items), _usable_cores())
-    if not calls_blas:
-        yield from _pooled(fn, items, processes, stride=0, first=None)
-        return
-    first = fn(items[0])
-    if processes < 2 or not _one_os_thread():
-        yield first
-        yield from map(fn, islice(items, 1, None))
-        return
-    yield from _pooled(fn, items, processes - 1, stride=processes, first=first)
+    if calls_blas:
+        yield fn(items[0])
+        items = items[1:]
+    workers = min(len(items), _usable_cores())
+    if calls_blas and (workers < 2 or not _one_os_thread()):
+        yield from map(fn, items)
+    else:
+        yield from _pooled(fn, items, workers)
 
 
-def _pooled(fn, items: Sequence, workers: int, stride: int, first):
-    """forked_map over `workers` forked workers; the caller computes the items
-    whose position is a multiple of `stride` (none at stride 0), item 0 being
-    `first`, already computed."""
+def _pooled(fn, items: Sequence, workers: int):
+    """forked_map's results of `items`, all computed by `workers` forked workers."""
     # imported here, so the commands that start no pool do not pay about 15 ms at start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    def own(i: int) -> bool:
-        return stride > 0 and i % stride == 0
-
-    theirs = (i for i in range(len(items)) if not own(i))
+    unsent = iter(items)
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_install, initargs=(fn,)) as pool:
-            ahead = {}
+            ahead = deque()
             try:
-                for i in range(len(items)):
-                    for j in islice(theirs, 2 * workers - len(ahead)):
-                        ahead[j] = pool.submit(_call, items[j])
-                    if not own(i):
-                        yield ahead.pop(i).result()
-                    else:
-                        yield first if i == 0 else fn(items[i])
+                for _ in range(len(items)):
+                    ahead.extend(pool.submit(_call, item) for item in islice(unsent, 2 * workers - len(ahead)))
+                    yield ahead.popleft().result()
             finally:
-                for future in ahead.values():
+                for future in ahead:
                     future.cancel()
     except BrokenProcessPool as exc:
         raise ChildProcessError("a worker process died before its work was done "

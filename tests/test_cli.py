@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import struct
 import tempfile
@@ -82,6 +83,16 @@ def test_stats_reports_both_classes(tmp_path, capsys):
     text = (out / "user_count_stats.tsv").read_text()
     assert text.startswith("class\tmean\tstd")
     assert "OFF" in text and "NOT" in text
+
+
+def test_stats_names_the_file_of_a_class_without_records(tmp_path, capsys):
+    train = tmp_path / "train.tsv"
+    rows = [OLID_FIXTURE.splitlines()[0]] + [f"{i}\tyou are all lovely {i}\tNOT\tNULL\tNULL" for i in range(1, 3)]
+    train.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config, out = write_config(tmp_path)
+    assert cli.main(["stats", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: data.train_path {train} holds no examples for class OFF in task a\n"
+    assert not (out / "user_count_stats.tsv").exists()
 
 
 def test_resample_report_equalizes(tmp_path, capsys):
@@ -711,6 +722,18 @@ def test_unusable_external_embedding_names_its_file(tmp_path, capsys, text, mess
                                           "embeddings.dim": 2})
     assert cli.main(["train", "--config", str(config)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_fasttext_word_without_ngrams_in_the_range_names_the_file_and_range(tmp_path, capsys):
+    # the file stores no n-gram range; under 7..8 a vocabulary word such as '<you>' has none
+    path = tmp_path / "fasttext.txt"
+    path.write_text("1 2 2\ntok 0.1 0.2\n0.3 0.4\n0.5 0.6\n", encoding="utf-8")
+    config, _ = write_config(tmp_path, **{"embeddings.source": "external_file", "embeddings.path": str(path),
+                                          "embeddings.dim": 2, "embeddings.min_ngram": 7, "embeddings.max_ngram": 8})
+    assert cli.main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {re.escape(str(path))}: word '[^']+' has no vector constituents under "
+                        f"embeddings.min_ngram 7 and embeddings.max_ngram 8\n", err)
 
 
 @pytest.mark.parametrize("command, key", [

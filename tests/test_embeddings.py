@@ -456,7 +456,7 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: non-numeric vector component")):
             load_fasttext(path, NgramConfig())
 
-    @pytest.mark.parametrize("header", ["1 x 2", "-1 5 3", "1 5", "1 5 3 4"])
+    @pytest.mark.parametrize("header", ["1 x 2", "-1 5 3", "1 5", "1 5 3 4", "1 0 2"])
     def test_bad_header_names_path(self, tmp_path, header):
         path = tmp_path / "ft.txt"
         path.write_text(header + "\n", encoding="utf-8")

@@ -261,8 +261,8 @@ class TestForkedInference:
         probs = model._predict_proba_arrays(params, idx, uc)
         expected = serial_proba(params, idx, uc)
         assert probs.shape == expected.shape and probs.tobytes() == expected.tobytes()
-        processes = min(cores, -(-len(idx) // model.PREDICT_BATCH))
-        assert pools == ([processes - 1] if processes > 1 else [])
+        workers = min(cores, -(-len(idx) // model.PREDICT_BATCH) - 1)  # the caller computes chunk 0
+        assert pools == ([workers] if workers >= 2 else [])
         assert not multiprocessing.active_children()
 
     def test_a_second_os_thread_keeps_every_chunk_in_the_caller(self, monkeypatch, pools):

@@ -25,13 +25,13 @@ def test_fn_reaches_the_workers_without_pickling(two_cores_one_thread, calls_bla
 
     results = list(forked_map(square, range(7), calls_blas=calls_blas))
     assert [value for value, _ in results] == [x * x for x in range(7)]
-    # with calls_blas the caller computes every other item of the 2 processes, else none
+    # with calls_blas the caller computes item 0, else none
     in_caller = [pid == os.getpid() for _, pid in results]
-    assert in_caller == [calls_blas and x % 2 == 0 for x in range(7)]
+    assert in_caller == [calls_blas and x == 0 for x in range(7)]
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.parametrize("bad", [2, 3], ids=["caller's item", "worker's item"])
+@pytest.mark.parametrize("bad", [0, 3], ids=["caller's item", "worker's item"])
 def test_calls_blas_error_is_raised_and_leaves_no_worker(two_cores_one_thread, bad):
     def fail_at(x):
         if x == bad:
