@@ -185,7 +185,9 @@ def bo_loop(
     fit the GP and take the seeded candidate of highest EI.
 
     A failing objective is recorded as +inf and the loop continues; for GP
-    fitting such points are replaced by the worst finite value seen.
+    fitting such points are replaced by the worst finite value seen. An
+    OSError is not a score but a fault of the machine (a worker process that
+    died, a failed read or write), and is raised.
     """
     dims = len(space.dimensions)
     rng = np.random.default_rng(seed)
@@ -204,6 +206,8 @@ def bo_loop(
         point = space.decode(X_unit[iteration])
         try:
             value = float(objective(point))
+        except OSError:
+            raise
         except Exception:
             value = math.inf
         ys.append(math.inf if math.isnan(value) else value)

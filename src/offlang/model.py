@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Sequence
@@ -16,7 +17,7 @@ import numpy as np
 from . import nn
 from .corpus import Examples
 from .metrics import accuracy, confusion, prf_macro
-from .pool import forked_map
+from .pool import forked_helper, forked_map
 
 MODEL_MAGIC = b"OFLG1"
 # Rows per inference forward pass. Inference keeps no backward cache, only the
@@ -191,15 +192,16 @@ def _init_head(arch: ModelArch, rng: np.random.Generator) -> dict[str, nn.Param]
     return dict(zip(HEAD_NAMES, head))
 
 
-def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float, keep_cache: bool = True):
+def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float, keep_cache: bool = True, helper=None):
     """Class probabilities and the backward cache, which is None without
-    `keep_cache` (inference); dropout runs only with an rng."""
+    `keep_cache` (inference); dropout runs only with an rng. A training
+    step's `helper` runs the BiLSTM's backward direction (`nn.bilstm_forward`)."""
     arch = params.arch
     if idx.max(initial=0) >= params.embedding.values.shape[0]:
         raise ModelError("token index out of embedding range")
     emb = params.embedding.values[idx]
     dropped, mask = nn.spatial_dropout_forward(emb, dropout_rate, rng)
-    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"), keep_cache)
+    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"), keep_cache, helper=helper)
     conv, conv_cache = nn.conv1d_forward(bi, params.conv_kernel, params.conv_bias)
     mx, mx_cache = nn.global_max_pool_forward(conv)
     av, av_shape = nn.global_avg_pool_forward(conv)
@@ -301,7 +303,12 @@ def train(
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Seeded epochs with per-epoch shuffles; stops `patience` epochs after
     `best_epoch` and returns that epoch's weights plus the full history.
-    A non-finite loss or gradient is a ModelError naming epoch and step."""
+    A non-finite loss or gradient is a ModelError naming epoch and step.
+
+    From the second step on, the BiLSTM's backward direction runs in a
+    forked helper (`pool.forked_helper`) beside the forward one, where the
+    gate of forked inference holds (a one-thread BLAS on two or more cores);
+    the helper lives for this call, and the bytes do not depend on it."""
     if not len(train_set) or not len(val_set):
         raise ModelError("train and validation sets must be non-empty")
     arch = params.arch
@@ -319,42 +326,45 @@ def train(
     # the full Adam update leaves it unchanged and Adam needs only the rows hit
     # so far, unless weight decay gives every nonzero row a gradient.
     hit = np.zeros(len(params.embedding.values), dtype=bool)
+    helper = None
+    with ExitStack() as helpers:  # the helper, once opened, until this call returns or raises
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(len(idx))
+            losses = []
+            for step, start in enumerate(range(0, len(order), config.batch_size), start=1):
+                sel = order[start : start + config.batch_size]
+                for name, p in trainable.items():
+                    p.grad[grad_rows[name]] = 0.0
+                probs, cache = _forward(params, idx[sel], uc[sel], rng, config.dropout, helper=helper)
+                loss, dz2 = _loss_and_dz(probs, y[sel], config, arch.output_units)
+                if not np.isfinite(loss):
+                    raise ModelError(f"non-finite training loss {loss} at epoch {epoch}, step {step}")
+                # a frozen trunk needs no gradient, so its backward is skipped
+                (_head_backward if config.freeze_trunk else _backward)(params, dz2, cache)
+                grad_rows["embedding"] = np.unique(idx[sel])
+                for name, p in trainable.items():
+                    # one sum per tensor: any inf or nan in it makes the sum non-finite
+                    if not np.isfinite(p.grad[grad_rows[name]].sum()):
+                        raise ModelError(f"non-finite gradient in {name} at epoch {epoch}, step {step}")
+                hit[grad_rows["embedding"]] = True
+                gather = not config.weight_decay and np.count_nonzero(hit) <= ADAM_GATHER_MAX_SHARE * len(hit)
+                adam_rows = {**grad_rows, "embedding": np.flatnonzero(hit) if gather else slice(None)}
+                nn.adam_step(list(trainable.values()), [adam_rows[name] for name in trainable], state,
+                             config.lr, config.weight_decay)
+                losses.append(loss)
+                if epoch == step == 1:  # by now a BLAS that starts its threads on first use has them
+                    helper = helpers.enter_context(forked_helper(nn.BackwardDirection()))
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(idx))
-        losses = []
-        for step, start in enumerate(range(0, len(order), config.batch_size), start=1):
-            sel = order[start : start + config.batch_size]
-            for name, p in trainable.items():
-                p.grad[grad_rows[name]] = 0.0
-            probs, cache = _forward(params, idx[sel], uc[sel], rng, config.dropout)
-            loss, dz2 = _loss_and_dz(probs, y[sel], config, arch.output_units)
-            if not np.isfinite(loss):
-                raise ModelError(f"non-finite training loss {loss} at epoch {epoch}, step {step}")
-            # a frozen trunk needs no gradient, so its backward is skipped
-            (_head_backward if config.freeze_trunk else _backward)(params, dz2, cache)
-            grad_rows["embedding"] = np.unique(idx[sel])
-            for name, p in trainable.items():
-                # one sum per tensor: any inf or nan in it makes the sum non-finite
-                if not np.isfinite(p.grad[grad_rows[name]].sum()):
-                    raise ModelError(f"non-finite gradient in {name} at epoch {epoch}, step {step}")
-            hit[grad_rows["embedding"]] = True
-            gather = not config.weight_decay and np.count_nonzero(hit) <= ADAM_GATHER_MAX_SHARE * len(hit)
-            adam_rows = {**grad_rows, "embedding": np.flatnonzero(hit) if gather else slice(None)}
-            nn.adam_step(list(trainable.values()), [adam_rows[name] for name in trainable], state,
-                         config.lr, config.weight_decay)
-            losses.append(loss)
+            val_pred = predict(params, val_set.indices, val_set.user_count)
+            val_acc = accuracy(val_set.label, val_pred)
+            val_f1 = prf_macro(confusion(val_set.label, val_pred, n_classes)).macro_f1
+            history.append(EpochStats(epoch, float(np.mean(losses)), val_acc, val_f1))
 
-        val_pred = predict(params, val_set.indices, val_set.user_count)
-        val_acc = accuracy(val_set.label, val_pred)
-        val_f1 = prf_macro(confusion(val_set.label, val_pred, n_classes)).macro_f1
-        history.append(EpochStats(epoch, float(np.mean(losses)), val_acc, val_f1))
-
-        top = best_epoch(history)
-        if top.epoch == epoch:
-            best = params.copy()
-        elif epoch - top.epoch >= config.patience:
-            break
+            top = best_epoch(history)
+            if top.epoch == epoch:
+                best = params.copy()
+            elif epoch - top.epoch >= config.patience:
+                break
 
     return best, history
 

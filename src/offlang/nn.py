@@ -199,20 +199,61 @@ def lstm_backward(dhs: np.ndarray, cache) -> np.ndarray:
     return dz_all @ params.wx.values
 
 
-def bilstm_forward(xs: np.ndarray, fwd: LstmParams, bwd: LstmParams, keep_cache: bool = True):
+def bilstm_forward(xs: np.ndarray, fwd: LstmParams, bwd: LstmParams, keep_cache: bool = True, *, helper=None):
     """Both directions over (B, T, in); outputs concatenated to (B, T, 2h).
-    Without `keep_cache` (inference) the cache is None."""
+    Without `keep_cache` (inference) the cache is None. With a `helper` (a
+    training step's `pool.forked_helper` running a `BackwardDirection`), the
+    backward direction runs there while the forward one runs here, and its
+    cache stays there."""
+    if helper is not None:
+        helper.send(("forward", xs, bwd.wx.values, bwd.wh.values, bwd.b.values))
     h_f, cache_f = lstm_forward(xs, fwd, keep_cache)
-    h_b_rev, cache_b = lstm_forward(xs[:, ::-1], bwd, keep_cache)
+    if helper is None:
+        h_b_rev, cache_b = lstm_forward(xs[:, ::-1], bwd, keep_cache)
+    else:
+        h_b_rev, cache_b = helper.recv(), bwd
     out = np.concatenate([h_f, h_b_rev[:, ::-1]], axis=2)
-    return out, (cache_f, cache_b, fwd.hidden) if keep_cache else None
+    return out, (cache_f, cache_b, fwd.hidden, helper) if keep_cache else None
 
 
 def bilstm_backward(dys: np.ndarray, cache) -> np.ndarray:
-    cache_f, cache_b, hid = cache
+    """d(input) of both directions; with a helper, the backward direction's
+    gradients come back from it and are added to `bwd`'s."""
+    cache_f, cache_b, hid, helper = cache
+    dys_b = np.ascontiguousarray(dys[:, ::-1, hid:])
+    if helper is not None:
+        helper.send(("backward", dys_b))
     dxs = lstm_backward(np.ascontiguousarray(dys[..., :hid]), cache_f)
-    dxs += lstm_backward(np.ascontiguousarray(dys[:, ::-1, hid:]), cache_b)[:, ::-1]
+    if helper is None:
+        dxs_b = lstm_backward(dys_b, cache_b)
+    else:
+        dxs_b, *grads = helper.recv()
+        for p, grad in zip(cache_b.params(), grads):
+            p.grad += grad
+    dxs += dxs_b[:, ::-1]
     return dxs
+
+
+class BackwardDirection:
+    """The backward direction of a BiLSTM's training step, as run in a
+    `pool.forked_helper`. ("forward", xs, wx, wh, b) runs it over xs
+    reversed in time, as `bilstm_forward` would, keeps the cache and returns
+    the states; ("backward", dhs) backpropagates the reversed-time dhs
+    through that cache and returns d(input) and the wx, wh and b gradients.
+    Each forward starts from zero gradients, which the caller adds to its
+    own: added to the zeros of a freshly zeroed step, each is the same bytes."""
+
+    def __init__(self):
+        self.cache = None
+
+    def __call__(self, message):
+        kind, *args = message
+        if kind == "forward":
+            xs, *weights = args
+            h_rev, self.cache = lstm_forward(xs[:, ::-1], LstmParams(*map(Param, weights)))
+            return h_rev
+        dxs = lstm_backward(args[0], self.cache)
+        return dxs, *(p.grad for p in self.cache[1].params())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offlang import baseline, cli, corpus, embeddings, model, pool
+from offlang import baseline, cli, corpus, embeddings, model, nn, pool
 from offlang.corpus import Vocabulary
 
 from conftest import OLID_FIXTURE
@@ -290,6 +290,42 @@ def test_predict_dead_worker_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
     monkeypatch.setattr(pool, "_one_os_thread", lambda: True)
     assert cli.main(["predict", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "error: a worker process died" in err and "Traceback" not in err
+    assert not multiprocessing.active_children()
+
+
+def _kill_the_helper(monkeypatch):
+    """The backward-direction helper of training dies at its first message;
+    it opens as it would under a one-thread BLAS, on 2 cores."""
+    monkeypatch.setattr(nn.BackwardDirection, "__call__", _kill_own_process)
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_one_os_thread", lambda: True)
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("train", {"model.batch_size": 4}),
+    ("tune-hparams", {"hpo.n_init": 2, "hpo.n_iter": 1, "model.batch_size": 4}),
+])
+def test_a_dead_training_helper_exits_1(tmp_path, capsys, monkeypatch, command, settings):
+    config, out = write_config(tmp_path, **settings)
+    _kill_the_helper(monkeypatch)
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "error: a worker process died" in err and "Traceback" not in err
+    assert not (out / "bo_trace.csv").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_transfer_with_a_dead_training_helper_exits_1(tmp_path, capsys, monkeypatch):
+    config, out = write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config), "--task", "a"]) == 0
+    transfer_config, _ = write_config(
+        tmp_path, out_name="transfer",
+        **{"data.task": "b", "model.batch_size": 4, "transfer.source_model": str(out / "model.bin"), "transfer.vocab": str(out / "vocab.txt")},
+    )
+    _kill_the_helper(monkeypatch)
+    assert cli.main(["transfer", "--config", str(transfer_config)]) == 1
     err = capsys.readouterr().err
     assert "error: a worker process died" in err and "Traceback" not in err
     assert not multiprocessing.active_children()

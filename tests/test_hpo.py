@@ -138,6 +138,19 @@ class TestBoLoop:
         assert len(result.trace) == 8
         assert math.isfinite(result.best_objective)
 
+    def test_a_dead_worker_is_raised_not_scored(self):
+        calls = []
+
+        def dies_at_second(p):
+            calls.append(p)
+            if len(calls) == 2:
+                raise ChildProcessError("a worker process died before its work was done")
+            return p["x"]
+
+        with pytest.raises(ChildProcessError, match="^a worker process died"):
+            bo_loop(dies_at_second, self._quadratic_space(), n_init=3, n_iter=2, seed=1)
+        assert len(calls) == 2
+
     def test_incumbent_monotone(self):
         result = bo_loop(lambda p: math.sin(7 * p["x"]), self._quadratic_space(),
                          n_init=3, n_iter=8, seed=3)

@@ -1,11 +1,16 @@
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from offlang import pool
-from offlang.pool import forked_map
+from offlang.pool import forked_helper, forked_map
 
 
 @pytest.fixture
@@ -41,3 +46,92 @@ def test_calls_blas_error_is_raised_and_leaves_no_worker(two_cores_one_thread, b
     with pytest.raises(ValueError, match=f"^item {bad}$"):
         list(forked_map(fail_at, range(9), calls_blas=True))
     assert not multiprocessing.active_children()
+
+
+def test_the_helper_keeps_its_state_and_reaches_fn_without_pickling(two_cores_one_thread):
+    lock = threading.Lock()  # a lock cannot be pickled, nor can this closure
+    seen = []
+
+    def remember(x):
+        with lock:
+            seen.append(x)
+            return list(seen), os.getpid()
+
+    with forked_helper(remember) as helper:
+        for x in range(3):
+            helper.send(x)
+            assert helper.recv()[0] == list(range(x + 1))
+        assert seen == []  # the state lives in the helper
+        helper.send(3)
+        assert helper.recv()[1] != os.getpid()
+    assert not multiprocessing.active_children()
+
+
+def test_the_helper_opens_only_on_two_cores_and_one_os_thread(monkeypatch):
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(pool, "_one_os_thread", lambda: True)
+    with forked_helper(abs) as helper:
+        assert helper is None
+    monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(pool, "_one_os_thread", lambda: False)
+    with forked_helper(abs) as helper:
+        assert helper is None
+    assert not multiprocessing.active_children()
+
+
+def test_an_error_in_the_helper_is_raised_and_it_serves_on(two_cores_one_thread):
+    def invert(x):
+        return 1 / x
+
+    with forked_helper(invert) as helper:
+        helper.send(0)
+        with pytest.raises(ZeroDivisionError):
+            helper.recv()
+        helper.send(4)
+        assert helper.recv() == 0.25
+    assert not multiprocessing.active_children()
+
+
+def test_a_dead_helper_raises_child_process_error(two_cores_one_thread):
+    with pytest.raises(ChildProcessError, match="^a worker process died before its work was done"):
+        with forked_helper(lambda _: os.kill(os.getpid(), signal.SIGKILL)) as helper:
+            helper.send(None)
+            helper.recv()
+    with forked_helper(lambda _: os.kill(os.getpid(), signal.SIGKILL)) as helper:
+        helper.send(None)
+        with pytest.raises(ChildProcessError):
+            helper.recv()
+        with pytest.raises(ChildProcessError):  # its end of the pipe is closed
+            helper.send(None)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_the_helper_ends_when_its_caller_is_killed():
+    script = """
+import os, signal
+from offlang import pool
+pool._usable_cores = lambda: 2
+pool._one_os_thread = lambda: True
+with pool.forked_helper(abs) as helper:
+    helper.send(-1)
+    assert helper.recv() == 1
+    print(__import__("multiprocessing").active_children()[0].pid, flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+    src = str(Path(pool.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    status = Path(f"/proc/{int(done.stdout)}/status")
+
+    def ended():
+        try:
+            return "zombie" in status.read_text()
+        except FileNotFoundError:
+            return True
+
+    deadline = time.monotonic() + 30
+    while not ended() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert ended()  # it saw its caller's end of the pipe close, and returned
