@@ -11,10 +11,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pool
 from .corpus import Vocabulary
 from .metrics import confusion, prf_macro
-from .pool import forked_map
 from .resample import rebalance
+
+# The most trees one CV worker grows in one lockstep, unless a forest alone has
+# more: the CLI's default forest, the largest lockstep whose memory was
+# measured (one OLID-size 100-tree cell peaked at 118 MB). Default cells stay
+# one per lockstep; small ones share it, so its fixed cost per step is paid once.
+LOCKSTEP_TREES = 100
 
 
 @dataclass
@@ -42,7 +48,9 @@ class Csr(_Compressed):
 
 
 class Csc(_Compressed):
-    """Compressed sparse columns: column j is major line j, its rows ascending."""
+    """Compressed sparse columns: column j is major line j, its rows ascending.
+    The row indices are int32, half the bytes of intp in every row copy the
+    forest makes; no input of this program comes near 2**31 rows."""
 
 
 def _as_csc(X) -> Csc:
@@ -51,12 +59,13 @@ def _as_csc(X) -> Csc:
         return X
     if isinstance(X, Csr):
         by_column = np.argsort(X.indices, kind="stable")
-        row = np.repeat(np.arange(X.shape[0]), np.diff(X.indptr))[by_column]
+        row = np.repeat(np.arange(X.shape[0], dtype=np.int32), np.diff(X.indptr))[by_column]
         col, data = X.indices[by_column], X.data[by_column]
     else:
         X = np.asarray(X)
         col, row = np.nonzero(X.T)
         data = X[row, col]
+        row = row.astype(np.int32)
     return Csc(np.searchsorted(col, np.arange(X.shape[1] + 1)), row, data, X.shape)
 
 
@@ -72,7 +81,7 @@ def _postings(X: Csc, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _take_rows(X: Csc, rows: np.ndarray) -> Csc:
     """X[rows] for distinct ascending rows, row i of it being rows[i]."""
-    position = np.full(X.shape[0], -1, dtype=np.intp)
+    position = np.full(X.shape[0], -1, dtype=np.int32)
     position[rows] = np.arange(rows.shape[0])
     row = position[X.indices]
     keep = np.flatnonzero(row >= 0)
@@ -309,16 +318,22 @@ def train_forest(X, y: Sequence[int], n_trees: int, seed: int, rows=None) -> For
     n_classes = int(y[rows].max()) + 1
     max_features = math.isqrt(X.shape[1])
 
-    rngs = [np.random.default_rng(tree_seed) for tree_seed in np.random.SeedSequence(seed).spawn(n_trees)]
-    samples = [rows[rng.integers(0, rows.shape[0], size=rows.shape[0])] for rng in rngs]
+    rngs, samples = _draws(rows, n_trees, seed)
     return ForestModel(trees=_grow_trees(X, y, samples, rngs, max_features, n_classes), n_classes=n_classes)
+
+
+def _draws(rows: np.ndarray, n_trees: int, seed: int) -> tuple[list[np.random.Generator], list[np.ndarray]]:
+    """Each tree's rng, a child of the master seed, and the bootstrap sample
+    of `rows` that it draws first, before its feature samples."""
+    rngs = [np.random.default_rng(tree_seed) for tree_seed in np.random.SeedSequence(seed).spawn(n_trees)]
+    return rngs, [rows[rng.integers(0, rows.shape[0], size=rows.shape[0])] for rng in rngs]
 
 
 def _tree_predict(tree: Tree, X: Csc) -> np.ndarray:
     """Leaf labels of the rows of X, moving them all down one level per pass
     through a dense block of their values in the tree's split features."""
     inner = tree.left >= 0
-    features = np.unique(tree.feature[inner])
+    features = np.flatnonzero(np.bincount(tree.feature[inner]))  # np.unique's result, without importing numpy.ma
     at, slot = _postings(X, features)
     values = np.zeros((X.shape[0], features.shape[0]), dtype=X.data.dtype)
     values[X.indices[at], slot] = X.data[at]
@@ -362,17 +377,45 @@ class PuCandidate:
         return float(np.mean(self.fold_scores))
 
 
-def _cell_score(X: Csc, y: np.ndarray, fold_of: np.ndarray, n_classes: int, n_trees: int, seed: int,
-                cell: tuple[float, int]) -> float:
-    """Macro-F1 on the held-out fold of one (p_u, fold) cell, for a forest
-    trained on the other folds rebalanced to p_u."""
-    p_u, fold = cell
-    test_rows = np.flatnonzero(fold_of == fold)
-    train_rows = np.flatnonzero(fold_of != fold)
-    rows = train_rows[rebalance(y[train_rows], p_u, seed=seed + fold)]
-    forest = train_forest(X, y, n_trees=n_trees, seed=seed + 31 * fold, rows=rows)
-    pred = predict_forest(forest, X, rows=test_rows)
-    return prf_macro(confusion(y[test_rows], pred, n_classes)).macro_f1
+def _cell_forests(X: Csc, y: np.ndarray, fold_of: np.ndarray, n_trees: int, seed: int,
+                  cells: Sequence[tuple[float, int]]) -> list[ForestModel]:
+    """The forest of each (p_u, fold) cell: `train_forest`'s, with its draws,
+    on the other folds rebalanced to p_u.
+
+    The forests of the cells whose training rows have the same top class grow
+    in one `_grow_trees` lockstep, which grows each tree as if alone.
+    """
+    classes, rngs, samples = [], [], []  # per cell
+    for p_u, fold in cells:
+        train_rows = np.flatnonzero(fold_of != fold)
+        rows = train_rows[rebalance(y[train_rows], p_u, seed=seed + fold)]
+        classes.append(int(y[rows].max()) + 1)
+        cell_rngs, cell_samples = _draws(rows, n_trees, seed + 31 * fold)
+        rngs.append(cell_rngs)
+        samples.append(cell_samples)
+    forests = [None] * len(cells)
+    for n_classes in sorted(set(classes)):
+        mine = [i for i in range(len(cells)) if classes[i] == n_classes]
+        grown = _grow_trees(X, y, [sample for i in mine for sample in samples[i]],
+                            [rng for i in mine for rng in rngs[i]], math.isqrt(X.shape[1]), n_classes)
+        for j, i in enumerate(mine):
+            forests[i] = ForestModel(grown[j * n_trees:(j + 1) * n_trees], n_classes)
+    return forests
+
+
+def _group_scores(X: Csc, y: np.ndarray, fold_of: np.ndarray, n_classes: int, n_trees: int, seed: int,
+                  cells: Sequence[tuple[float, int]]) -> list[float]:
+    """Macro-F1 on the held-out fold of each (p_u, fold) cell, for its
+    `_cell_forests` forest. Each forest is dropped once scored, and the
+    bootstrap samples before the first prediction's dense blocks."""
+    forests = _cell_forests(X, y, fold_of, n_trees, seed, cells)
+    scores = []
+    for i, (_, fold) in enumerate(cells):
+        forest, forests[i] = forests[i], None
+        test_rows = np.flatnonzero(fold_of == fold)
+        pred = predict_forest(forest, X, rows=test_rows)
+        scores.append(prf_macro(confusion(y[test_rows], pred, n_classes)).macro_f1)
+    return scores
 
 
 def cv_folds(n: int, folds: int, seed: int) -> np.ndarray:
@@ -394,11 +437,16 @@ def cv_select_pu(
 
     Only the training folds are rebalanced; scores are macro-F1 on the
     untouched held-out fold. Ties go to the smaller p_u. X is a Csc, a Csr
-    or a dense array, made a Csc once; each forest and prediction copies its
-    rows of it. The folds are `cv_folds(len(y), folds, seed)`. The (p_u,
-    fold) cells run in forked worker processes, one per usable core at most,
-    which share the Csc through the fork and are joined before this returns;
-    the scores do not depend on the worker count.
+    or a dense array, made a Csc once; each lockstep and prediction copies
+    its rows of it. The folds are `cv_folds(len(y), folds, seed)`.
+
+    The (p_u, fold) cells are dealt in turn into groups, at least one per
+    usable core and enough that a group holds at most LOCKSTEP_TREES trees
+    (or one cell); each forked worker grows a group's forests in one lockstep
+    and scores each cell with its own trees. The workers share the Csc through
+    the fork and are joined before this returns. Every tree is the one
+    `train_forest` grows for its cell, so the scores depend neither on the
+    grouping nor on the worker count.
     """
     X = _as_csc(X)
     y = np.asarray(y, dtype=int)
@@ -409,8 +457,12 @@ def cv_select_pu(
 
     fold_of = cv_folds(n, folds, seed)
     cells = [(p_u, fold) for p_u in grid for fold in range(folds)]
-    # the cells never call BLAS (bincount, lexsort and cumsum), as forked_map requires
-    scores = list(forked_map(partial(_cell_score, X, y, fold_of, n_classes, n_trees, seed), cells))
+    per_group = max(1, LOCKSTEP_TREES // n_trees)
+    n_groups = min(len(cells), max(pool._usable_cores(), math.ceil(len(cells) / per_group)))
+    groups = [cells[g::n_groups] for g in range(n_groups)]
+    # the groups never call BLAS (bincount, lexsort and cumsum), as forked_map requires
+    by_group = list(pool.forked_map(partial(_group_scores, X, y, fold_of, n_classes, n_trees, seed), groups))
+    scores = [by_group[i % n_groups][i // n_groups] for i in range(len(cells))]
     candidates = [PuCandidate(p_u=float(p_u), fold_scores=scores[i * folds:(i + 1) * folds])
                   for i, p_u in enumerate(grid)]
 

@@ -436,7 +436,8 @@ def cmd_tune_pu(run: Run) -> None:
         raise ConfigError(f"config key baseline.folds must be <= {most} for {len(y)} task {task} records, got {folds}")
     fold_of = baseline.cv_folds(len(y), folds, run.seed)
     for fold in range(folds):
-        left = [corpus.TASK_LABELS[task][label] for label in np.unique(y[fold_of != fold])]
+        # the classes present, as np.unique gives them, without importing numpy.ma
+        left = [corpus.TASK_LABELS[task][label] for label in np.flatnonzero(np.bincount(y[fold_of != fold]))]
         if len(left) < 2:
             path = _scalar(run.config, "data.train_path", str)
             raise ConfigError(f"task {task} needs at least two classes to rebalance, but the training rows of fold "

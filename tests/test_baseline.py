@@ -571,6 +571,51 @@ class TestCvSelectPu:
         assert [(c.p_u, c.fold_scores) for c in candidates] == self._serial_candidates(X, y, grid, folds, 3, 4)
         assert not multiprocessing.active_children()
 
+    @staticmethod
+    def _record_locksteps(monkeypatch, path):
+        """Make every `_grow_trees` call, in whichever worker, append its tree
+        and class counts to path; return a reader of the sorted (trees, classes)."""
+        grow = baseline._grow_trees
+
+        def recording(X, y, samples, rngs, max_features, n_classes):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{len(samples)} {n_classes}\n")
+            return grow(X, y, samples, rngs, max_features, n_classes)
+
+        monkeypatch.setattr(baseline, "_grow_trees", recording)  # forked workers inherit the patch
+        return lambda: sorted(tuple(map(int, line.split())) for line in path.read_text().splitlines())
+
+    @pytest.mark.parametrize("grid, n_trees, cores, trees_per_call", [
+        ([0.0, 0.5, 1.0], 100, 2, [100] * 6),  # default-size cells: one per lockstep, as before grouping
+        ([0.0, 0.5, 1.0], 4, 2, [12, 12]),  # small cells: one group of 3 cells per core
+        ([0.0, 0.5, 1.0], 4, 1, [24]),
+        ([0.0, 0.2, 0.5, 0.8, 1.0], 30, 1, [60, 60, 90, 90]),  # at most LOCKSTEP_TREES trees in a group
+    ])
+    def test_cells_grow_in_one_lockstep_per_group(self, monkeypatch, tmp_path, grid, n_trees, cores,
+                                                  trees_per_call):
+        X, y = self._imbalanced_data()
+        expected = self._serial_candidates(X, y, grid, 2, n_trees, 4)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
+        locksteps = self._record_locksteps(monkeypatch, tmp_path / "locksteps")
+        _, candidates = cv_select_pu(X, y, grid=grid, folds=2, n_trees=n_trees, seed=4)
+        assert locksteps() == [(trees, 2) for trees in trees_per_call]
+        assert [(c.p_u, c.fold_scores) for c in candidates] == expected
+
+    def test_a_group_splits_its_lockstep_by_class_count(self, monkeypatch, tmp_path):
+        # task c-like labels: the top class sits in fold 0 alone, so the cells of
+        # fold 0 train on two classes and the cells of fold 1 on three
+        rng = np.random.default_rng(2)
+        fold_of = baseline.cv_folds(60, 2, 3)
+        y = (rng.random(60) < 0.4).astype(int)
+        y[np.flatnonzero(fold_of == 0)[:6]] = 2
+        X = rng.poisson(0.8 + y[:, None] * np.linspace(0.0, 1.0, 10), size=(60, 10))
+        expected = self._serial_candidates(X, y, [0.0, 1.0], 2, 3, 3)
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 1)  # one group holds every cell
+        locksteps = self._record_locksteps(monkeypatch, tmp_path / "locksteps")
+        _, candidates = cv_select_pu(X, y, grid=[0.0, 1.0], folds=2, n_trees=3, seed=3)
+        assert locksteps() == [(6, 2), (6, 3)]
+        assert [(c.p_u, c.fold_scores) for c in candidates] == expected
+
     def test_a_failing_cell_raises_its_error_and_leaves_no_worker(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("boom")
