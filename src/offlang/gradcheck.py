@@ -12,6 +12,7 @@ To add a check, write a `check_*(seed) -> float` that draws its inputs from
 `_loss_check(...)` for a loss, and give it one `ALL_CHECKS` entry.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -212,6 +213,9 @@ def run_all(n_seeds: int, tolerance: float) -> list[CheckResult]:
     0 .. n_seeds-1."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    # an inf or nan bound would pass every check, and 0 or less fail them all
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
     results = []
     for name, fn in ALL_CHECKS:
         worst = max(fn(seed) for seed in range(n_seeds))

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -15,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .corpus import Examples
+from .corpus import PAD_INDEX, Examples
 from .metrics import accuracy, confusion, prf_macro
 from .pool import forked_helper, forked_map
 
@@ -192,16 +193,20 @@ def _init_head(arch: ModelArch, rng: np.random.Generator) -> dict[str, nn.Param]
     return dict(zip(HEAD_NAMES, head))
 
 
-def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float, keep_cache: bool = True, helper=None):
+def _forward(params: ModelParams, idx, uc, rng, dropout_rate: float, keep_cache: bool = True, helper=None,
+             prefix=None):
     """Class probabilities and the backward cache, which is None without
     `keep_cache` (inference); dropout runs only with an rng. A training
-    step's `helper` runs the BiLSTM's backward direction (`nn.bilstm_forward`)."""
+    step's `helper` runs the BiLSTM's backward direction, and an inference
+    `prefix` gives the forward direction its first steps' states
+    (`nn.bilstm_forward`)."""
     arch = params.arch
     if idx.max(initial=0) >= params.embedding.values.shape[0]:
         raise ModelError("token index out of embedding range")
     emb = params.embedding.values[idx]
     dropped, mask = nn.spatial_dropout_forward(emb, dropout_rate, rng)
-    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"), keep_cache, helper=helper)
+    bi, bi_cache = nn.bilstm_forward(dropped, params.lstm("fwd"), params.lstm("bwd"), keep_cache,
+                                     helper=helper, prefix=prefix)
     conv, conv_cache = nn.conv1d_forward(bi, params.conv_kernel, params.conv_bias)
     mx, mx_cache = nn.global_max_pool_forward(conv)
     av, av_shape = nn.global_avg_pool_forward(conv)
@@ -238,21 +243,67 @@ def _backward(params: ModelParams, dz2: np.ndarray, cache) -> None:
     np.add.at(params.embedding.grad, idx, demb)
 
 
-def _predict_chunk(params: ModelParams, idx, uc, start: int) -> np.ndarray:
-    rows = slice(start, start + PREDICT_BATCH)
-    probs, _ = _forward(params, idx[rows], uc[rows], None, 0.0, keep_cache=False)
+def _pad_states(params: ModelParams, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward LSTM's h and c at each step of one row of a `rows`-row
+    all-PAD batch, each (seq_len, hidden). It runs as a batch of the chunk's
+    row count, so that each of its GEMMs has the shape the chunk's has."""
+    arch = params.arch
+    xs = params.embedding.values[np.full((rows, arch.seq_len), PAD_INDEX)]
+    c = np.empty((arch.seq_len, arch.hidden))
+    h, _ = nn.lstm_forward(xs, params.lstm("fwd"), keep_cache=False, row_c=c)
+    return h[0].copy(), c
+
+
+def _predict_chunk(params: ModelParams, idx, uc, lead, pad_states, rows) -> np.ndarray:
+    """The probabilities of rows `rows`. If `pad_states` holds their row
+    count, their forward LSTM copies its first p steps from there, p being
+    the fewest leading PADs (`lead`) among them."""
+    prefix = None
+    if len(rows) in pad_states:
+        h, c = pad_states[len(rows)]
+        p = lead[rows].min()
+        prefix = (h[:p], c[:p])
+    probs, _ = _forward(params, idx[rows], uc[rows], None, 0.0, keep_cache=False, prefix=prefix)
     return probs
 
 
 def _predict_proba_arrays(params: ModelParams, idx, uc):
     """Class probabilities of token indices `idx` (N, L) and @USER counts
-    `uc` (N,), in forward passes of PREDICT_BATCH rows. Under a one-thread
-    BLAS the chunks are spread over forked workers on every usable core
-    (`forked_map`); each chunk is the same forward on the same rows, so the
-    bytes do not depend on where it ran."""
-    starts = range(0, len(idx), PREDICT_BATCH)
-    chunks = list(forked_map(partial(_predict_chunk, params, idx, uc), starts, calls_blas=True))
-    return np.concatenate(chunks) if chunks else np.zeros(0)
+    `uc` (N,), in forward passes of PREDICT_BATCH rows.
+
+    Rows are front-padded, and every row reads the same PAD input from the
+    same zero state, so at its leading PAD steps every row has the forward
+    LSTM states of an all-PAD row. The rows of the full chunks are taken
+    most-padded first (a stable sort on their count of leading PAD ids); the
+    last N mod PREDICT_BATCH rows stay the short last chunk, so each row is
+    in a chunk of the row count it has in file order. For each row count
+    whose chunks share more steps than seq_len (the steps an all-PAD pass
+    runs), an all-PAD row's states are computed once at that row count
+    (`_pad_states`), and each of those chunks copies them for its first p
+    steps; a lone last chunk never pays for its pass. This holds every
+    GEMM's shape, so the probabilities keep their bytes where one row of a
+    GEMM does not depend on the call's other rows.
+
+    Under a one-thread BLAS the chunks are spread over forked workers on
+    every usable core (`forked_map`); each chunk is the same forward on the
+    same rows, so the bytes do not depend on where it ran."""
+    n, b = len(idx), PREDICT_BATCH
+    if not n:
+        return np.zeros(0)
+    lead = np.logical_and.accumulate(idx == PAD_INDEX, axis=1).sum(axis=1)
+    full = n - n % b
+    order = np.concatenate([np.argsort(-lead[:full], kind="stable"), np.arange(full, n)])
+    chunks = [order[s : s + b] for s in range(0, n, b)]
+    shared = Counter()
+    for rows in chunks:
+        shared[len(rows)] += lead[rows].min()
+    pad_states = {n_rows: _pad_states(params, n_rows)
+                  for n_rows, steps in shared.items() if steps > params.arch.seq_len}
+    fn = partial(_predict_chunk, params, idx, uc, lead, pad_states)
+    sorted_probs = np.concatenate(list(forked_map(fn, chunks, calls_blas=True)))
+    probs = np.empty_like(sorted_probs)
+    probs[order] = sorted_probs
+    return probs
 
 
 def labels_from_probs(probs: np.ndarray) -> np.ndarray:

@@ -139,10 +139,15 @@ def _lstm_cell(z, xz_t, whT, b, h, c, gate, tc) -> None:
     np.multiply(o, tc, out=h)
 
 
-def lstm_forward(xs: np.ndarray, params: LstmParams, keep_cache: bool = True):
+def lstm_forward(xs: np.ndarray, params: LstmParams, keep_cache: bool = True, *, prefix=None, row_c=None):
     """Run the cell over a (B, T, in) sequence; returns the (B, T, h) states and
     the backward cache, or None without `keep_cache` (inference). Each step
-    works in one set of buffers; the cache copies each step's gates, c and tanh c."""
+    works in one set of buffers; the cache copies each step's gates, c and tanh c.
+
+    Inference only: `prefix`, one row's h and c at each of the first p steps
+    (two (p, h) arrays), gives every row those states there, and the cell
+    runs from step p on, from the last of them; `row_c`, a (T, h) array,
+    receives row 0's c at each step the cell runs."""
     B, T, _ = xs.shape
     hid = params.hidden
     whT = params.wh.values.T
@@ -152,15 +157,26 @@ def lstm_forward(xs: np.ndarray, params: LstmParams, keep_cache: bool = True):
     z, gate = np.empty((B, 4 * hid)), np.empty((B, 4 * hid))
     h, c, tc = np.zeros((B, hid)), np.zeros((B, hid)), np.empty((B, hid))
     h_s = np.empty((B, T, hid))
+    start = 0
+    if prefix is not None:
+        if keep_cache:
+            raise ValueError("a prefix of shared states is for inference, which keeps no cache")
+        h_pre, c_pre = prefix
+        start = len(h_pre)
+        if start:
+            h_s[:, :start] = h_pre
+            h[:], c[:] = h_pre[-1], c_pre[-1]
     if keep_cache:
         gates = np.empty((B, T, 4 * hid))  # activated, in the stacked gate layout
         c_s = np.empty((B, T, hid))
         tc_s = np.empty((B, T, hid))
-    for t in range(T):
+    for t in range(start, T):
         _lstm_cell(z, xz[:, t], whT, b, h, c, gate, tc)
         h_s[:, t] = h
         if keep_cache:
             gates[:, t], c_s[:, t], tc_s[:, t] = gate, c, tc
+        if row_c is not None:
+            row_c[t] = c[0]
 
     return h_s, (xs, params, gates, c_s, tc_s, h_s) if keep_cache else None
 
@@ -199,15 +215,18 @@ def lstm_backward(dhs: np.ndarray, cache) -> np.ndarray:
     return dz_all @ params.wx.values
 
 
-def bilstm_forward(xs: np.ndarray, fwd: LstmParams, bwd: LstmParams, keep_cache: bool = True, *, helper=None):
+def bilstm_forward(xs: np.ndarray, fwd: LstmParams, bwd: LstmParams, keep_cache: bool = True, *,
+                   helper=None, prefix=None):
     """Both directions over (B, T, in); outputs concatenated to (B, T, 2h).
-    Without `keep_cache` (inference) the cache is None. With a `helper` (a
-    training step's `pool.forked_helper` running a `BackwardDirection`), the
-    backward direction runs there while the forward one runs here, and its
-    cache stays there."""
+    Without `keep_cache` (inference) the cache is None, and a `prefix` gives
+    the forward direction states shared by every row's first steps
+    (`lstm_forward`). With a `helper` (a training step's
+    `pool.forked_helper` running a `BackwardDirection`), the backward
+    direction runs there while the forward one runs here, and its cache
+    stays there."""
     if helper is not None:
         helper.send(("forward", xs, bwd.wx.values, bwd.wh.values, bwd.b.values))
-    h_f, cache_f = lstm_forward(xs, fwd, keep_cache)
+    h_f, cache_f = lstm_forward(xs, fwd, keep_cache, prefix=prefix)
     if helper is None:
         h_b_rev, cache_b = lstm_forward(xs[:, ::-1], bwd, keep_cache)
     else:

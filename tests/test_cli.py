@@ -347,6 +347,14 @@ def test_gradcheck_passes(capsys):
     assert out.count("pass") == 10 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1e-4"])
+def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, tolerance):
+    assert cli.main(["gradcheck", "--seeds", "1", f"--tolerance={tolerance}"]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: tolerance must be a finite number > 0, got {float(tolerance)}\n"
+    assert out == ""  # refused before any check runs
+
+
 def test_missing_config_key_is_named(tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text(json.dumps({"data": {}}), encoding="utf-8")

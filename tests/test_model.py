@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -217,6 +218,26 @@ class TestPredict:
         assert peak < 11 * states
 
 
+def encoded_rows(arch, n, seed):
+    """n rows of token indices as `corpus.encode` makes them, in shuffled
+    order, and their @USER counts: front-padded rows of every length from 0
+    to seq_len, rows longer than seq_len (so no PAD), more all-PAD rows,
+    rows with a PAD id after their first real token (a tweet holding the
+    PAD token's text), and many short rows, as tweets mostly are in a
+    63-token window. The vocabulary has 12 ids, as `small_params`' table."""
+    vocab = corpus.Vocabulary([f"w{i}" for i in range(10)])
+    words = [*vocab.index_to_token[2:], "unseen"]  # "unseen" maps to UNK
+    lengths = [*range(arch.seq_len + 1), arch.seq_len + 3, 2 * arch.seq_len, 0, 0, *[2, 3] * 20]
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        tokens = [str(w) for w in rng.choice(words, size=lengths[i % len(lengths)])]
+        if i % 5 == 4 and len(tokens) > 1:
+            tokens[int(rng.integers(1, len(tokens)))] = corpus.PAD_TOKEN
+        rows.append(corpus.encode(tokens, vocab, arch.seq_len))
+    return np.array(rows, dtype=np.intp)[rng.permutation(n)], rng.integers(0, 6, size=n).astype(float)
+
+
 def serial_proba(params, idx, uc):
     """The reference: every PREDICT_BATCH-row chunk in this process, in order."""
     b = model.PREDICT_BATCH
@@ -265,6 +286,32 @@ class TestForkedInference:
         assert pools == ([workers] if workers >= 2 else [])
         assert not multiprocessing.active_children()
 
+    @pytest.mark.parametrize("forked", [False, True], ids=["caller", "forked"])
+    @pytest.mark.parametrize("units", [1, 3])
+    @pytest.mark.parametrize("use_user_count", [False, True])
+    @pytest.mark.parametrize("last", [1, 2, model.PREDICT_BATCH - 1])  # rows in the last chunk
+    @pytest.mark.parametrize("hidden", [SMALL.hidden, 128])
+    def test_padded_rows_keep_the_serial_bytes(self, monkeypatch, pools, forked, units, use_user_count, last,
+                                               hidden):
+        # the full chunks' rows go most-padded first, and each chunk copies an
+        # all-PAD row's forward states for its shared leading PAD steps; at the
+        # published width a 1-row GEMM against the transposed wh has other
+        # bytes than a 32-row one, so the all-PAD rows must run at the chunk's count
+        monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pool, "_one_os_thread", lambda: forked)  # forked: as under a one-thread BLAS
+        arch = dataclasses.replace(SMALL, hidden=hidden, output_units=units, use_user_count=use_user_count)
+        params = small_params(arch)
+        idx, uc = encoded_rows(arch, 3 * model.PREDICT_BATCH + last, seed=last)
+        passes, pad_states = [], model._pad_states
+        monkeypatch.setattr(model, "_pad_states", lambda params, rows: passes.append(rows) or pad_states(params, rows))
+        probs = model._predict_proba_arrays(params, idx, uc)
+        expected = serial_proba(params, idx, uc)
+        assert probs.shape == expected.shape and probs.tobytes() == expected.tobytes()
+        # the full chunks share their leading PAD steps; the last chunk alone shares fewer than a pass runs
+        assert passes == [model.PREDICT_BATCH]
+        assert pools == ([2] if forked else [])
+        assert not multiprocessing.active_children()
+
     def test_a_second_os_thread_keeps_every_chunk_in_the_caller(self, monkeypatch, pools):
         monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
         params = small_params(self.ARCH)
@@ -309,6 +356,70 @@ print(json.dumps({"forks": len(forks), "same": probs.tobytes() == serial.tobytes
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout)
         assert result["forks"] >= 1 and result["same"]
+
+
+class TestTracerContract:
+    """perfbench's tracer (`perfbench/tracing.py`, read here, not edited)
+    finds inference by name: every span under `model._predict_proba_arrays`
+    is inference, and each `nn.bilstm_forward` span counts its `xs` rows as
+    examples."""
+
+    @pytest.fixture
+    def tracing(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracing
+
+        monkeypatch.setattr(pool, "_one_os_thread", lambda: False)  # every chunk in the traced caller
+        return tracing
+
+    def traced(self, tracing, call):
+        """call()'s result and spans; call looks offlang's functions up once
+        the recorder has rebound them."""
+        recorder = tracing.Recorder()
+        recorder.install()
+        try:
+            result = call()
+        finally:
+            recorder.uninstall()
+        return result, recorder.spans
+
+    def test_each_chunk_enters_bilstm_forward_once_and_the_pad_states_do_not(self, tracing):
+        assert tracing.INFERENCE == "model._predict_proba_arrays"
+        assert list(inspect.signature(model._predict_proba_arrays).parameters) == ["params", "idx", "uc"]
+        params = small_params()
+        idx, uc = encoded_rows(SMALL, 3 * model.PREDICT_BATCH + 5, seed=0)
+        labels, spans = self.traced(tracing, lambda: model.predict(params, idx, uc))
+        assert labels.tolist() == labels_from_probs(serial_proba(params, idx, uc)).tolist()
+        names = [s[0] for s in spans]
+        assert names.count(tracing.INFERENCE) == 1
+        inference = names.index(tracing.INFERENCE)
+        assert names[spans[inference][3]] == "model.predict"
+        chunks = [s for s in spans if s[0] == "nn.bilstm_forward"]
+        assert [s[3] for s in chunks] == [inference] * 4
+        assert [s[5]["examples"] for s in chunks] == [model.PREDICT_BATCH] * 3 + [5]
+        # the all-PAD pass: nn.lstm_forward straight under inference, before any chunk;
+        # one, for the full chunks, as the 5-row last chunk alone shares fewer steps than it runs
+        pad_passes = [s for s in spans if s[0] == "nn.lstm_forward" and s[3] == inference]
+        assert len(pad_passes) == 1 and pad_passes[0][2] <= chunks[0][1]
+        assert all(names[s[3]] in (tracing.INFERENCE, "nn.bilstm_forward")
+                   for s in spans if s[0] == "nn.lstm_forward")
+        metrics = tracing.layer_metrics(spans)
+        assert metrics["nn.bilstm_forward.predict_ms_per_example"] > 0
+
+    def test_every_validation_pass_is_inference(self, tracing):
+        train_set = random_examples(SMALL, 12, 40, seed=1)
+        val_set = as_examples(zip(*encoded_rows(SMALL, 37, seed=2), [0, 1] * 18 + [0]))
+        config = TrainConfig(batch_size=8, max_epochs=2, patience=2)
+        _, spans = self.traced(tracing, lambda: model.train(small_params(), train_set, val_set, config))
+        names = [s[0] for s in spans]
+        validations = [i for i, name in enumerate(names) if name == tracing.INFERENCE]
+        assert len(validations) == 2
+        assert all(names[spans[i][3]] == "model.predict" and names[spans[spans[i][3]][3]] == "model.train"
+                   for i in validations)
+        examples = [s[5]["examples"] for s in spans if s[0] == "nn.bilstm_forward" and s[3] in validations]
+        assert examples == [model.PREDICT_BATCH, 5] * 2
+        metrics = tracing.layer_metrics(spans)
+        assert metrics["model.steps"] == 10 and metrics["nn.bilstm_forward.predict_ms_per_example"] > 0
 
 
 class TestEarlyStopping:

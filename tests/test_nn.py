@@ -126,6 +126,27 @@ class TestLstm:
         for got, ref in zip(cache[2:], want):
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("shared", [0, 3, 7])
+    def test_a_prefix_of_shared_states_keeps_the_bytes(self, shared):
+        # rows that read the same inputs for their first `shared` steps, as
+        # front-padded rows do; the prefix comes from a batch of as many rows
+        rng = np.random.default_rng(shared)
+        params = nn.init_lstm_params(rng, 5, 4)
+        batch, steps = 6, 7
+        xs = rng.normal(size=(batch, steps, 5))
+        xs[:, :shared] = rng.normal(size=5)
+        same = np.ascontiguousarray(np.broadcast_to(xs[:1], xs.shape))
+        c = np.empty((steps, 4))
+        h_same, _ = nn.lstm_forward(same, params, keep_cache=False, row_c=c)
+        assert c.tobytes() == nn.lstm_forward(same, params)[1][3][0].tobytes()  # the cache's c of row 0
+        h, cache = nn.lstm_forward(xs, params, keep_cache=False, prefix=(h_same[0, :shared], c[:shared]))
+        assert cache is None and h.tobytes() == nn.lstm_forward(xs, params, keep_cache=False)[0].tobytes()
+
+    def test_a_prefix_keeps_no_backward_cache(self):
+        params = nn.init_lstm_params(np.random.default_rng(0), 5, 4)
+        with pytest.raises(ValueError, match="inference"):
+            nn.lstm_forward(np.zeros((2, 3, 5)), params, prefix=(np.zeros((1, 4)), np.zeros((1, 4))))
+
 
 class TestBilstm:
     def test_palindrome_symmetry(self):
