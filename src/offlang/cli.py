@@ -7,11 +7,20 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
+
+# One BLAS thread over any value set, as another count can change a trained model's bytes;
+# numpy's BLAS reads these on load, so a program that imported numpy first keeps its own.
+_BLAS_THREADS = None
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
+    _BLAS_THREADS = 1
 
 import numpy as np
 
@@ -97,6 +106,7 @@ def _runner(command):
             "config": config,
             "resolved": run.resolved,
             "seed": seed,
+            "blas_threads": _BLAS_THREADS,
             "versions": {"offlang": __version__, "numpy": np.__version__},
         }
         with open(out / "run.json", "w", encoding="utf-8") as fh:
@@ -491,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--task", choices=["a", "b", "c"], help="OLID subtask")
         p.add_argument("--seed", type=int, default=None, help="override data.seed")
-        p.add_argument("--deterministic", action="store_true",
-                       help="accepted for compatibility; every run is deterministic")
         p.set_defaults(fn=_runner(command))
 
     add("preprocess", cmd_preprocess, "clean an OLID file; write clean.tsv and vocab.txt")

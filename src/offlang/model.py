@@ -8,7 +8,6 @@ import math
 import os
 import struct
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from typing import Sequence
@@ -356,10 +355,10 @@ def train(
     `best_epoch` and returns that epoch's weights plus the full history.
     A non-finite loss or gradient is a ModelError naming epoch and step.
 
-    From the second step on, the BiLSTM's backward direction runs in a
-    forked helper (`pool.forked_helper`) beside the forward one, where the
-    gate of forked inference holds (a one-thread BLAS on two or more cores);
-    the helper lives for this call, and the bytes do not depend on it."""
+    The BiLSTM's backward direction runs in a forked helper
+    (`pool.forked_helper`) beside the forward one, where the gate of forked
+    inference holds (a one-thread BLAS on two or more cores); the helper
+    lives for this call, and the bytes do not depend on it."""
     if not len(train_set) or not len(val_set):
         raise ModelError("train and validation sets must be non-empty")
     arch = params.arch
@@ -377,8 +376,7 @@ def train(
     # the full Adam update leaves it unchanged and Adam needs only the rows hit
     # so far, unless weight decay gives every nonzero row a gradient.
     hit = np.zeros(len(params.embedding.values), dtype=bool)
-    helper = None
-    with ExitStack() as helpers:  # the helper, once opened, until this call returns or raises
+    with forked_helper(nn.BackwardDirection()) as helper:
         for epoch in range(1, config.max_epochs + 1):
             order = rng.permutation(len(idx))
             losses = []
@@ -403,8 +401,6 @@ def train(
                 nn.adam_step(list(trainable.values()), [adam_rows[name] for name in trainable], state,
                              config.lr, config.weight_decay)
                 losses.append(loss)
-                if epoch == step == 1:  # by now a BLAS that starts its threads on first use has them
-                    helper = helpers.enter_context(forked_helper(nn.BackwardDirection()))
 
             val_pred = predict(params, val_set.indices, val_set.user_count)
             val_acc = accuracy(val_set.label, val_pred)

@@ -57,12 +57,12 @@ def forked_map(fn, items: Sequence, *, calls_blas: bool = False):
     only collects. Without `calls_blas`, fn must call no BLAS: a BLAS thread
     pool alive at the fork (Python 3.12+ warns of it) can deadlock the child.
 
-    With `calls_blas`, the caller computes item 0 itself, by which time a BLAS
-    that starts its threads on first use has started them. The rest go to the
-    workers only if at least two would run and the process runs a single OS
-    thread, as it does under a one-thread BLAS: a multi-threaded BLAS already
-    spreads the work over the cores, and workers beside it would oversubscribe
-    them. Otherwise the caller computes the rest too.
+    With `calls_blas`, the caller computes item 0 itself, so that a profiler
+    of this process alone (perfbench's tracer) times one item. The rest go to
+    the workers only if at least two would run and the process runs a single
+    OS thread, as under a one-thread BLAS: a multi-threaded BLAS already
+    spreads the work over the cores, and workers beside it would
+    oversubscribe them. Otherwise the caller computes the rest too.
 
     The workers are joined when the results run out. At most two items per
     worker are submitted ahead of the caller, so the results waiting to be read
@@ -112,9 +112,7 @@ def _pooled(fn, items: Sequence, workers: int):
 def forked_helper(fn):
     """Yield a `Helper` that runs fn in one process forked from this one, or
     None where `forked_map(calls_blas=True)` would compute in the caller:
-    fewer than two usable cores, or another OS thread alive. Enter it only
-    after the process's first BLAS call, so that a BLAS that starts its
-    threads on first use has started them.
+    fewer than two usable cores, or another OS thread alive.
 
     fn reaches the helper through the fork, not pickled, and keeps its state
     there between calls; each message and result is pickled over a Pipe, so

@@ -280,7 +280,7 @@ def test_criterion_11_training_determinism(tmp_path):
         }
         config_path = tmp_path / f"{name}.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        code = cli.main(["train", "--config", str(config_path), "--deterministic"])
+        code = cli.main(["train", "--config", str(config_path)])
         assert code == 0
         outputs.append(out)
     same_model = (outputs[0] / "model.bin").read_bytes() == (outputs[1] / "model.bin").read_bytes()

@@ -178,8 +178,8 @@ def test_evaluate_rejects_bad_predictions(tmp_path, capsys, rows, message):
 def test_train_is_byte_deterministic(tmp_path, capsys):
     config_a, out_a = write_config(tmp_path, out_name="run_a")
     config_b, out_b = write_config(tmp_path, out_name="run_b")
-    assert cli.main(["train", "--config", str(config_a), "--deterministic"]) == 0
-    assert cli.main(["train", "--config", str(config_b), "--deterministic"]) == 0
+    assert cli.main(["train", "--config", str(config_a)]) == 0
+    assert cli.main(["train", "--config", str(config_b)]) == 0
     assert (out_a / "model.bin").read_bytes() == (out_b / "model.bin").read_bytes()
     assert (out_a / "history.csv").read_text() == (out_b / "history.csv").read_text()
 

@@ -1,8 +1,8 @@
 """Training with the BiLSTM's backward direction in a forked helper
-(`pool.forked_helper`, which `model.train` opens after its first step where
-the gate of forked inference holds: two or more usable cores and a single OS
-thread, as under a one-thread BLAS). The parameters and the history keep the
-serial bytes, and no process outlives `train`."""
+(`pool.forked_helper`, which `model.train` opens on entry where the gate of
+forked inference holds: two or more usable cores and a single OS thread, as
+under the one-thread BLAS the CLI pins). The parameters and the history keep
+the serial bytes, and no process outlives `train`."""
 
 import dataclasses
 import json
@@ -21,6 +21,7 @@ import pytest
 from offlang import model, nn, pool
 from offlang.model import ModelError, TrainConfig, train, transfer
 
+from test_cli import write_config
 from test_model import SMALL, random_examples, small_params
 
 _TEST_PROCESS = os.getpid()
@@ -99,7 +100,7 @@ def test_a_frozen_trunk_sends_only_forwards_with_the_serial_bytes(monkeypatch, h
     serial, forked = serial_and_helper(monkeypatch, lambda: transfer(source, "c", seed=9), examples, config)
     assert forked == serial
     assert isinstance(helpers[1], pool.Helper)
-    assert set(sent) == {"forward"} and len(sent) == 3 * 5 - 1  # every step after the first
+    assert set(sent) == {"forward"} and len(sent) == 3 * 5  # every step
     assert not multiprocessing.active_children()
 
 
@@ -157,6 +158,55 @@ print(json.dumps({"opened": opened, "same": run() == serial, "inference_pools": 
     assert json.loads(done.stdout) == {"opened": [False, True], "same": True, "inference_pools": 3}
 
 
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or pool._usable_cores() < 2,
+                    reason="the thread check reads /proc/self/task; a fork needs 2 usable cores")
+def test_the_cli_pins_one_blas_thread_whatever_the_environment_says(tmp_path):
+    # a program that imports offlang.cli first, as the console script and `python -m offlang.cli` do,
+    # or numpy first, as a library caller may
+    script = """
+import json, os, sys
+from contextlib import contextmanager
+if sys.argv[2] == "numpy first":
+    import numpy
+from offlang import cli, model, pool
+opened = []
+real = model.forked_helper
+
+@contextmanager
+def recording(fn):
+    with real(fn) as helper:
+        opened.append(isinstance(helper, pool.Helper))
+        yield helper
+
+model.forked_helper = recording
+assert cli.main(["train", "--config", sys.argv[1]]) == 0
+print(json.dumps({"opened": opened, "env": {var: os.environ.get(var) for var in %r}}))
+""" % (THREAD_VARS,)
+    src = str(Path(model.__file__).resolve().parents[1])
+    base = {name: value for name, value in os.environ.items() if name not in THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+
+    def run(name, threads, first="cli first"):
+        config, out = write_config(tmp_path, out_name=name, **{"model.batch_size": 4})
+        env = {**base, **dict.fromkeys(THREAD_VARS if threads else (), threads)}
+        done = subprocess.run([sys.executable, "-c", script, str(config), first], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        blas_threads = json.loads((out / "run.json").read_text())["blas_threads"]
+        return json.loads(done.stdout.splitlines()[-1]), blas_threads, (out / "model.bin").read_bytes()
+
+    one = run("one", "1")
+    assert one[:2] == ({"opened": [True], "env": dict.fromkeys(THREAD_VARS, "1")}, 1)
+    assert run("unset", None) == one
+    assert run("two", "2") == one
+    # numpy imported first: its BLAS was loaded under the caller's setting, which the CLI leaves alone
+    numpy_first, blas_threads, _ = run("numpy_first", "2", "numpy first")
+    assert numpy_first["env"] == dict.fromkeys(THREAD_VARS, "2") and blas_threads is None
+
 def test_a_second_os_thread_opens_no_helper(monkeypatch, helpers):
     monkeypatch.setattr(pool, "_usable_cores", lambda: 2)
     release = threading.Event()
@@ -208,5 +258,5 @@ def test_no_process_outlives_a_train_that_raises(monkeypatch, two_cores_one_thre
     monkeypatch.setattr(model, "_loss_and_dz", nan_at_step)
     with pytest.raises(ModelError, match=f"non-finite training loss nan at epoch 1, step {step}$"):
         train_bytes(small_params(), random_examples(SMALL, 12, 48, seed=4), CONFIG)
-    assert len(helpers) == (step > 1)  # the helper opens after the first step
+    assert len(helpers) == 1  # the helper opens before the first step
     assert not multiprocessing.active_children()
