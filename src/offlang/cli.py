@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -515,6 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("tune-hparams", cmd_tune_hparams, "Bayesian optimization of lr and weight decay")
 
     g = sub.add_parser("gradcheck", help="finite-difference checks for every layer")
+    # argparse's own pattern has no exponent: it took the -1e-4 of `--tolerance -1e-4` for an option
+    g._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     g.add_argument("--seeds", type=int, default=20)
     g.add_argument("--tolerance", type=float, default=1e-4)
     g.set_defaults(fn=cmd_gradcheck)

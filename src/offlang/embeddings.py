@@ -4,6 +4,7 @@ embeddings and the embedding-matrix builder that seeds the classifier.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import IO, Sequence
 
 import numpy as np
@@ -325,21 +326,21 @@ def build_embedding_matrix(vocab: Vocabulary, source) -> np.ndarray:
 
 # The save's rows per block come from a byte budget for a block's text, at
 # about 22 bytes per value (repr and separator, at CBOW's init scale). The
-# parent holds the blocks in flight, two per worker, so the budget bounds the
-# save's memory: at d=100 on 2 cores, 1,024-row blocks (about 2.2 MB of text)
-# raised embed-train's peak RSS from 71.7 to 85 MB, and 256-row blocks to 75.7.
+# blocks in flight bound the save's memory: at d=100 on 2 cores, 1,024-row
+# blocks (about 2.2 MB of text) raised embed-train's peak RSS from 71.7 to
+# 85 MB, and 256-row blocks to 75.7 (measured when rows went to the workers).
 _SAVE_BLOCK_BYTES = 2**19
 _VALUE_TEXT_BYTES = 22
 
 
-def _text_block(block: tuple[list[str] | None, np.ndarray]) -> bytes:
-    """The UTF-8 lines of a block of rows: `token v1 .. vd` when the block's
-    tokens are given, else `v1 .. vd`, each value its float's repr."""
-    tokens, rows = block
+def _text_block(model: FastTextModel, rows: tuple[int, int]) -> bytes:
+    """The UTF-8 lines of the model's input rows start..stop: `token v1 .. vd`
+    for word rows, `v1 .. vd` for bucket rows, each value its float's repr."""
+    start, stop = rows
     # a block at a time: the whole table as Python floats would dwarf the array
-    lines = [" ".join(map(repr, row)) for row in rows.tolist()]
-    if tokens is not None:
-        lines = [f"{tok} {line}" for tok, line in zip(tokens, lines)]
+    lines = [" ".join(map(repr, row)) for row in model.inputs[start:stop].tolist()]
+    if start < len(model.tokens):
+        lines = [f"{tok} {line}" for tok, line in zip(model.tokens[start:stop], lines)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -347,17 +348,17 @@ def save_fasttext(model: FastTextModel, path) -> None:
     """Text format: header `V B d`, V word lines `token v1..vd`, B bucket lines.
 
     The word rows, then the bucket rows, are cut into blocks that forked
-    workers format (`forked_map`; formatting calls no BLAS). The blocks are
-    written in row order as they arrive, so the bytes do not depend on the
-    worker count and the whole text is never held in memory.
+    workers format (`forked_map`; formatting calls no BLAS), each sent as its
+    row range. The blocks are written in row order as they arrive, so the
+    bytes do not depend on the worker count and the whole text is never held
+    in memory.
     """
     step = max(1, _SAVE_BLOCK_BYTES // (_VALUE_TEXT_BYTES * model.dim))
-    v = len(model.tokens)
-    blocks = [(model.tokens[i : i + step], model.word_in[i : i + step]) for i in range(0, v, step)]
-    blocks += [(None, model.bucket_vecs[i : i + step]) for i in range(0, len(model.bucket_vecs), step)]
+    v, n = len(model.tokens), len(model.inputs)
+    blocks = [(i, min(i + step, end)) for begin, end in ((0, v), (v, n)) for i in range(begin, end, step)]
     with open(path, "wb") as fh:
         fh.write(f"{v} {model.cfg.buckets} {model.dim}\n".encode())
-        for text in forked_map(_text_block, blocks):
+        for text in forked_map(partial(_text_block, model), blocks):
             fh.write(text)
 
 

@@ -4,15 +4,15 @@ process per usable core, and yields the results in item order.
 between calls, beside the caller, under the gate `forked_map(calls_blas=True)`
 uses: at least two usable cores and a single OS thread.
 
-Both import `multiprocessing` only when they fork, so the commands that fork
-nothing do not pay about 15 ms at start-up.
+Every forked process starts in `_forked`: a `_serve` loop on its own Pipe
+that ends when the caller's end closes, also when the caller is killed. Only
+a fork imports `multiprocessing`, sparing the others about 15 ms at start-up.
 """
 
 import os
+import pickle
 import sys
-from collections import deque
 from contextlib import contextmanager
-from itertools import islice
 from typing import Sequence
 
 def _usable_cores() -> int:
@@ -28,20 +28,6 @@ def _one_os_thread() -> bool:
         return sys.platform == "linux" and len(os.listdir("/proc/self/task")) == 1
     except OSError:  # no /proc mounted
         return False
-
-
-# the function the workers of the current pool run, set in each worker by the
-# pool's initializer: a fork copies it, so it is never pickled
-_worker_fn = None
-
-
-def _install(fn) -> None:
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call(item):
-    return _worker_fn(item)
 
 
 def _worker_died() -> ChildProcessError:
@@ -64,11 +50,13 @@ def forked_map(fn, items: Sequence, *, calls_blas: bool = False):
     spreads the work over the cores, and workers beside it would
     oversubscribe them. Otherwise the caller computes the rest too.
 
-    The workers are joined when the results run out. At most two items per
-    worker are submitted ahead of the caller, so the results waiting to be read
-    stay few. An exception in fn is raised here after the items not yet
-    started are cancelled. A worker that dies (a signal, the out-of-memory
-    killer) raises ChildProcessError, an OSError.
+    Item i goes to worker i mod n, at most two items per worker ahead of the
+    caller, which writes them into the worker's pipe without waiting: an item
+    must pickle to far less than half a pipe's buffer (208 KiB by default on
+    Linux), so send a row range, not the rows; a result may be of any size.
+    The workers are ended and joined when the results run out or the caller
+    stops reading. An exception in fn is raised here; a worker that dies (a
+    signal, the out-of-memory killer) raises ChildProcessError, an OSError.
 
     fn reaches the workers through the fork, not pickled, so its closure may
     hold anything; the items and the results are pickled. Fork, not spawn:
@@ -88,24 +76,15 @@ def forked_map(fn, items: Sequence, *, calls_blas: bool = False):
 
 def _pooled(fn, items: Sequence, workers: int):
     """forked_map's results of `items`, all computed by `workers` forked workers."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    unsent = iter(items)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_install, initargs=(fn,)) as pool:
-            ahead = deque()
-            try:
-                for _ in range(len(items)):
-                    ahead.extend(pool.submit(_call, item) for item in islice(unsent, 2 * workers - len(ahead)))
-                    yield ahead.popleft().result()
-            finally:
-                for future in ahead:
-                    future.cancel()
-    except BrokenProcessPool as exc:
-        raise _worker_died() from exc
+    ahead = 2 * workers
+    with _forked(fn, workers) as helpers:
+        for i, item in enumerate(items[:ahead]):
+            helpers[i % workers].send(item)
+        for i in range(len(items)):
+            result = helpers[i % workers].recv()
+            if i + ahead < len(items):
+                helpers[i % workers].send(items[i + ahead])
+            yield result
 
 
 @contextmanager
@@ -116,46 +95,61 @@ def forked_helper(fn):
 
     fn reaches the helper through the fork, not pickled, and keeps its state
     there between calls; each message and result is pickled over a Pipe, so
-    the caller starts no thread. On exit the helper is ended and joined,
-    whatever it was doing.
+    the caller starts no thread. On exit the helper is ended and joined.
     """
     if _usable_cores() < 2 or not _one_os_thread():
         yield None
         return
+    with _forked(fn, 1) as (helper,):
+        yield helper
+
+
+@contextmanager
+def _forked(fn, n: int):
+    """Yield n `Helper`s, each the caller's end of a Pipe to a process forked
+    from this one that runs `_serve(fn)`; on exit end and join them all."""
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    conn, helper_conn = context.Pipe()
-    process = context.Process(target=_serve, args=(fn, helper_conn, conn), daemon=True)
-    process.start()
-    helper_conn.close()
+    callers, processes = [], []
     try:
-        yield Helper(conn)
+        for _ in range(n):
+            caller, conn = context.Pipe()
+            callers.append(caller)
+            process = context.Process(target=_serve, args=(fn, conn, callers), daemon=True)
+            process.start()
+            processes.append(process)
+            conn.close()  # the child's end, so that a dead child reads as EOF here
+        yield [Helper(caller) for caller in callers]
     finally:
-        process.terminate()
-        process.join()
-        conn.close()
+        for process in processes:
+            process.terminate()
+            process.join()
+        for caller in callers:
+            caller.close()
 
 
-def _serve(fn, conn, caller_conn) -> None:
-    """The helper's loop: reply to each message with (False, fn(message)), or
-    (True, the exception fn raised); it ends when the caller's end closes."""
-    caller_conn.close()  # the fork's copy, which would keep the pipe open past the caller
-    while True:
-        try:
+def _serve(fn, conn, callers) -> None:
+    """A forked process's loop: reply to each message with (False,
+    fn(message)), or (True, the exception fn raised); it ends when the
+    caller's end closes."""
+    for caller in callers:  # every caller end forked so far: a copy left open here keeps its pipe open
+        caller.close()
+    try:
+        while True:
             message = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = (False, fn(message))
-        except Exception as exc:
-            reply = (True, exc)
-        conn.send(reply)
+            try:
+                reply = pickle.dumps((False, fn(message)))
+            except Exception as exc:  # raised by fn, or by pickling its result
+                reply = pickle.dumps((True, exc))
+            conn.send_bytes(reply)
+    except (EOFError, OSError):  # the caller's end closed (OSError: with replies unread)
+        return
 
 
 class Helper:
-    """The caller's end of a `forked_helper`: `send` a message, work in the
-    meantime, then `recv` fn's result. A helper that died raises
+    """The caller's end of a forked process: `send` a message, work in the
+    meantime, then `recv` fn's result. A process that died raises
     ChildProcessError, an OSError; an exception in fn is raised again here."""
 
     def __init__(self, conn):
@@ -164,7 +158,7 @@ class Helper:
     def send(self, message) -> None:
         try:
             self._conn.send(message)
-        except OSError as exc:  # the helper's end is closed
+        except OSError as exc:  # the process's end is closed
             raise _worker_died() from exc
 
     def recv(self):

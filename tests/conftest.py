@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from offlang import corpus
+from offlang import corpus, pool
 
 # one "[PASS]/[FAIL] criterion N: ..." line per acceptance criterion,
 # echoed after the run so pytest's capture can't swallow them
@@ -38,6 +38,20 @@ OLID_FIXTURE = """id\ttweet\tsubtask_a\tsubtask_b\tsubtask_c
 19\tweekend plans anyone?\tNOT\tNULL\tNULL
 20\tthose fans behaved disgracefully\tOFF\tTIN\tGRP
 """
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every forked pool made: `pool._pooled`'s `workers`."""
+    made = []
+    pooled = pool._pooled
+
+    def counting(fn, items, workers):
+        made.append(workers)
+        return pooled(fn, items, workers)
+
+    monkeypatch.setattr(pool, "_pooled", counting)
+    return made
 
 
 @pytest.fixture

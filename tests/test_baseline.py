@@ -1,4 +1,3 @@
-import concurrent.futures
 import multiprocessing
 import sys
 from collections import Counter
@@ -555,17 +554,9 @@ class TestCvSelectPu:
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("grid, folds", [([0.5], 2), ([0.0, 0.3, 0.7, 1.0], 3)])
-    def test_worker_count_never_changes_the_scores(self, monkeypatch, cores, grid, folds):
+    def test_worker_count_never_changes_the_scores(self, monkeypatch, pools, cores, grid, folds):
         X, y = self._imbalanced_data()
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
         monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         _, candidates = cv_select_pu(X, y, grid=grid, folds=folds, n_trees=3, seed=4)
         assert pools == [min(cores, len(grid) * folds)]
         assert [(c.p_u, c.fold_scores) for c in candidates] == self._serial_candidates(X, y, grid, folds, 3, 4)

@@ -347,9 +347,15 @@ def test_gradcheck_passes(capsys):
     assert out.count("pass") == 10 and "FAIL" not in out
 
 
-@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1e-4"])
-def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, tolerance):
-    assert cli.main(["gradcheck", "--seeds", "1", f"--tolerance={tolerance}"]) == 1
+BAD_TOLERANCES = ("inf", "nan", "0", "-1e-4")
+
+
+@pytest.mark.parametrize("tolerance, argv", [
+    *[pytest.param(t, [f"--tolerance={t}"], id=t) for t in BAD_TOLERANCES],
+    *[pytest.param(t, ["--tolerance", t], id=f"--tolerance {t}") for t in BAD_TOLERANCES],
+])
+def test_gradcheck_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, tolerance, argv):
+    assert cli.main(["gradcheck", "--seeds", "1", *argv]) == 1
     out, err = capsys.readouterr()
     assert err == f"error: tolerance must be a finite number > 0, got {float(tolerance)}\n"
     assert out == ""  # refused before any check runs

@@ -54,7 +54,8 @@ def test_importing_the_cli_loads_no_process_pool():
 def test_tune_pu_and_forest_prediction_load_no_numpy_ma(tmp_path):
     """A plain `np.unique` imports `numpy.ma` (9-12 ms) to check for a mask;
     `tune-pu` and `predict_forest` take their sorted distinct labels and
-    features from a bincount instead."""
+    features from a bincount instead. Its forked workers load no
+    `concurrent.futures` either: every fork is a process on a pipe."""
     train = tmp_path / "train.tsv"
     train.write_text(OLID_FIXTURE, encoding="utf-8")
     config = tmp_path / "config.json"
@@ -66,10 +67,10 @@ def test_tune_pu_and_forest_prediction_load_no_numpy_ma(tmp_path):
             "X = np.eye(8)[np.arange(40) % 8]; "
             "forest = baseline.train_forest(X, np.arange(40) % 3, n_trees=3, seed=0); "
             "assert (baseline.predict_forest(forest, X) == np.arange(40) % 3).any(); "
-            "print('numpy.ma' in sys.modules)")
+            "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)")
     src = str(Path(offlang.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "pu_report.csv").exists()
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "False False"  # nor the process pool: forks are pipes

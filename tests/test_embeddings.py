@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import io
 import itertools
@@ -347,17 +346,9 @@ class TestBlockSave:
             ([f"t{i}" for i in range(2 * BLOCK + 3)], 3 * BLOCK, 1),  # dim 1
         ],
     )
-    def test_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch, cores, tokens, buckets, dim):
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
+    def test_bytes_equal_the_serial_writer(self, tmp_path, monkeypatch, pools, cores, tokens, buckets, dim):
         monkeypatch.setattr(embeddings, "_SAVE_BLOCK_BYTES", embeddings._VALUE_TEXT_BYTES * dim * self.BLOCK)
         monkeypatch.setattr(pool, "_usable_cores", lambda: cores)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         m = FastTextModel.init(tokens, dim, NgramConfig(buckets=buckets), seed=len(tokens))
         m.inputs[1, 0] = -0.0  # reprs of other lengths than the init draws'
         m.inputs[-1, -1] = 1e16

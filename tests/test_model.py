@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import inspect
@@ -251,19 +250,6 @@ class TestForkedInference:
     the caller and forked workers; the probabilities keep the serial bytes."""
 
     ARCH = dataclasses.replace(SMALL, output_units=3, use_user_count=True)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of every pool made."""
-        made = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                made.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        return made
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("rows", [

@@ -48,6 +48,12 @@ def test_calls_blas_error_is_raised_and_leaves_no_worker(two_cores_one_thread, b
     assert not multiprocessing.active_children()
 
 
+def test_a_result_that_cannot_be_pickled_raises_its_error_not_a_dead_worker(two_cores_one_thread):
+    with pytest.raises(TypeError, match="pickle"):
+        list(forked_map(lambda _: threading.Lock(), range(3)))
+    assert not multiprocessing.active_children()
+
+
 def test_the_helper_keeps_its_state_and_reaches_fn_without_pickling(two_cores_one_thread):
     lock = threading.Lock()  # a lock cannot be pickled, nor can this closure
     seen = []
@@ -135,3 +141,63 @@ with pool.forked_helper(abs) as helper:
     while not ended() and time.monotonic() < deadline:
         time.sleep(0.05)
     assert ended()  # it saw its caller's end of the pipe close, and returned
+
+
+def _ended(pid: int) -> bool:
+    try:
+        return "zombie" in Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_the_workers_end_when_their_caller_is_killed(tmp_path):
+    script = """
+import multiprocessing, os, signal, time
+from offlang import pool
+pool._usable_cores = lambda: 2
+
+def slow(x):
+    time.sleep(0.2 if x else 0)
+    return x
+
+results = pool.forked_map(slow, range(6))
+assert next(results) == 0
+print(*[child.pid for child in multiprocessing.active_children()], flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+    src = str(Path(pool.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    # files, not pipes: workers that outlive the child would hold a pipe open and block run()
+    with out.open("w") as stdout, err.open("w") as stderr:
+        done = subprocess.run([sys.executable, "-c", script], env=env, stdout=stdout, stderr=stderr, timeout=60)
+    assert done.returncode == -signal.SIGKILL, err.read_text()
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == 2
+
+    deadline = time.monotonic() + 30
+    while not all(map(_ended, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in pids if not _ended(pid)]
+    for pid in alive:  # leave no orphan behind, also when the test fails
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []  # each saw its caller's end of the pipe close, and returned
+    assert err.read_text() == ""  # quietly
+
+
+def test_results_larger_than_a_pipe_come_back_in_order(two_cores_one_thread):
+    """A worker's 1 MB result fills its pipe until the caller reads it, while
+    the caller keeps two items per worker ahead: the window must not deadlock."""
+    def deadlocked(*_):
+        raise TimeoutError("forked_map deadlocked")
+
+    previous = signal.signal(signal.SIGALRM, deadlocked)
+    signal.alarm(60)
+    try:
+        results = list(forked_map(lambda x: bytes([x]) * 2**20, range(12)))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert results == [bytes([x]) * 2**20 for x in range(12)]
+    assert not multiprocessing.active_children()
