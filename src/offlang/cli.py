@@ -253,12 +253,14 @@ def _setup(run: Run, records, vocab, seq_len: int):
 
 
 def _train_cbow(run: Run, records) -> embeddings.FastTextModel:
-    return embeddings.train_cbow(
-        _tokens(records),
-        _section(run.config, "embeddings", embeddings.NgramConfig),
-        _section(run.config, "embeddings", embeddings.CbowTrainParams, seed=run.seed),
-        _embed_dim(run.config),
-    )
+    ngrams = _section(run.config, "embeddings", embeddings.NgramConfig)
+    params = _section(run.config, "embeddings", embeddings.CbowTrainParams, seed=run.seed)
+    dim = _embed_dim(run.config)
+    try:
+        return embeddings.train_cbow(_tokens(records), ngrams, params, dim)
+    except embeddings.TableSizeError as exc:
+        raise ConfigError(f"config keys embeddings.buckets {ngrams.buckets} and embeddings.dim {dim} ask for too much "
+                          f"memory: {exc}") from None
 
 
 def _from_scratch(run: Run):

@@ -56,6 +56,57 @@ def extract_ngrams(word: str, cfg: NgramConfig) -> list[int]:
     return [fnv1a_32(g.encode("utf-8")) % cfg.buckets for g in ngram_strings(word, cfg)]
 
 
+# Tokens hashed per block by `_ngram_buckets`: a block's text and per-character
+# arrays stay small next to the constituent arrays that outlive them.
+_HASH_BLOCK = 1024
+
+
+def _ngram_buckets(words: Sequence[str], cfg: NgramConfig, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of `extract_ngrams` for every word, concatenated, each word's
+    behind `lead` zeros, and each word's count. FNV-1a runs on one uint32
+    array over every character position of the words' UTF-8 text: step n
+    feeds each position the bytes of the n-th character from it, after which
+    a position whose n characters end inside its word holds that n-gram's
+    hash."""
+    if not all(words):
+        raise ValueError("cannot extract n-grams of an empty word")
+    chars = np.array([len(w) + 2 for w in words])  # of '<word>'
+    # n-grams per word and n, and where each word's n-grams of each n begin in the result
+    per_n = np.maximum(chars[:, None] - np.arange(cfg.min_ngram, cfg.max_ngram + 1) + 1, 0)
+    counts = per_n.sum(axis=1)
+    first = (np.cumsum(counts + lead) - counts)[:, None] + np.cumsum(per_n, axis=1) - per_n
+    # made before the text's arrays, so that freeing them leaves no hole below it
+    ids = np.zeros(counts.sum() + lead * len(words), dtype=int)
+    data = np.frombuffer("".join(f"<{w}>" for w in words).encode("utf-8"), dtype=np.uint8)
+    starts = np.flatnonzero((data & 0xC0) != 0x80)  # the bytes that begin a character
+    size = np.diff(starts, append=len(data))
+    # each character's bytes in a row, zero-padded to the widest
+    char_bytes = data[np.minimum(starts[:, None] + np.arange(size.max()), len(data) - 1)]
+    word = np.repeat(np.arange(len(words)), chars)
+    offset = np.arange(len(starts)) - (np.cumsum(chars) - chars)[word]  # of the character in its word
+    room = chars[word] - offset
+    h = np.full(len(starts), _FNV_OFFSET, dtype=np.uint32)
+    for n in range(1, min(cfg.max_ngram, len(h)) + 1):  # no n-gram is longer than all the text
+        fed, nth = h[: len(h) - n + 1], slice(n - 1, None)
+        for j in range(char_bytes.shape[1]):
+            step = (fed ^ char_bytes[nth, j]) * np.uint32(_FNV_PRIME)
+            fed[:] = step if j == 0 else np.where(size[nth] > j, step, fed)
+        if n >= cfg.min_ngram:
+            at = np.flatnonzero(room >= n)
+            ids[first[word[at], n - cfg.min_ngram] + offset[at]] = h[at]
+    if cfg.buckets <= 0xFFFFFFFF:  # a hash is below 2**32, so a larger count leaves it as it is
+        ids %= cfg.buckets
+    return ids, counts
+
+
+class TableSizeError(ValueError):
+    """The input table of word and bucket rows cannot be allocated."""
+
+    def __init__(self, rows: int, dim: int):
+        super().__init__(f"the input table of {rows:,} rows x {dim} float64 values ({rows * dim * 8 / 2**30:,.1f} GiB) "
+                         f"cannot be allocated")
+
+
 @dataclass
 class CbowTrainParams:
     window: int = 5
@@ -93,16 +144,27 @@ class FastTextModel:
         self.inputs = inputs
         self.word_in, self.bucket_vecs = inputs[: len(tokens)], inputs[len(tokens) :]
         self.word_out = word_out
-        self._constituents = [
-            np.array([i] + [len(tokens) + b for b in extract_ngrams(t, cfg)])
-            for i, t in enumerate(tokens)
-        ]
+        # each token's word id, then its n-grams' rows: views of one array per block
+        v = len(tokens)
+        self._constituents = []
+        for start in range(0, v, _HASH_BLOCK):
+            block = tokens[start : start + _HASH_BLOCK]
+            ids, counts = _ngram_buckets(block, cfg, lead=1)
+            ids += v
+            ends = np.cumsum(counts + 1)
+            heads = ends - counts - 1
+            ids[heads] = np.arange(start, start + len(block))
+            self._constituents += [ids[a:b] for a, b in zip(heads.tolist(), ends.tolist())]
 
     @classmethod
     def init(cls, tokens, dim, cfg, seed) -> "FastTextModel":
         rng = np.random.default_rng(seed)
         scale = 0.5 / dim
-        inputs = rng.uniform(-scale, scale, size=(len(tokens) + cfg.buckets, dim))
+        rows = len(tokens) + cfg.buckets
+        try:
+            inputs = rng.uniform(-scale, scale, size=(rows, dim))
+        except MemoryError:
+            raise TableSizeError(rows, dim) from None
         return cls(tokens, dim, cfg, inputs, np.zeros((len(tokens), dim)))
 
     def constituent_ids(self, word: str) -> np.ndarray:
@@ -124,10 +186,10 @@ class FastTextModel:
 def _gather(word_in: np.ndarray, bucket_vecs: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Input rows of constituent ids: word rows are [0, V), bucket rows [V, V+B)."""
     v = len(word_in)
-    rows = np.empty((len(ids), word_in.shape[1]))
+    # every row taken as a bucket row (a word id clips to bucket 0), then the word rows written over
+    rows = bucket_vecs.take(ids - v, axis=0, mode="clip")
     word = ids < v
     rows[word] = word_in[ids[word]]
-    rows[~word] = bucket_vecs[ids[~word] - v]
     return rows
 
 
@@ -148,22 +210,25 @@ def cbow_pair_loss(
     share of the hidden gradient; `targets` are the output rows. Both keep
     repeats, for `np.subtract.at` to apply each occurrence in turn.
     """
-    lens = [len(ids) for ids in context_constituents]
+    lens = np.array([len(ids) for ids in context_constituents])
     ids = np.concatenate(context_constituents)
-    weights = np.repeat(1.0 / (len(lens) * np.array(lens)), lens)
-    h = weights @ _gather(word_in, bucket_vecs, ids)
+    token_weights = 1.0 / (len(lens) * lens)
+    h = token_weights.repeat(lens) @ _gather(word_in, bucket_vecs, ids)
 
-    targets = np.concatenate([[center_id], negative_ids]).astype(int)
-    labels = np.zeros(len(targets))
-    labels[0] = 1.0
-    out_rows = word_out[targets]
+    targets = np.empty(len(negative_ids) + 1, dtype=int)
+    targets[0] = center_id
+    targets[1:] = negative_ids
+    out_rows = word_out.take(targets, axis=0)
     probs = sigmoid(out_rows @ h)
     # loss = -log s(s_pos) - sum log s(-s_neg)
     loss = float(-np.log(np.maximum(probs[0], 1e-12)) - np.log(np.maximum(1.0 - probs[1:], 1e-12)).sum())
 
-    dscores = probs - labels
+    dscores = probs  # the labels are 1 for the center and 0 for the negatives
+    dscores[0] -= 1.0
     grad_h = dscores @ out_rows
-    return loss, (ids, weights[:, None] * grad_h), (targets, dscores[:, None] * h)
+    # each occurrence's row is its token's weight times grad_h, the product the weights vector would give
+    grads = np.multiply.outer(token_weights, grad_h).repeat(lens, axis=0)
+    return loss, (ids, grads), (targets, np.multiply.outer(dscores, h))
 
 
 def _subtract_rows(flat: np.ndarray, rows: np.ndarray, values: np.ndarray, cols: np.ndarray) -> None:
@@ -171,7 +236,7 @@ def _subtract_rows(flat: np.ndarray, rows: np.ndarray, values: np.ndarray, cols:
     view is `flat`; rows may repeat, and each element takes every occurrence's
     share in turn, so the result is bit-equal to `np.subtract.at(a, rows,
     values)`. The 1-D index takes numpy's fast `ufunc.at` path."""
-    np.subtract.at(flat, (rows[:, None] * len(cols) + cols).ravel(), values.ravel())
+    np.subtract.at(flat, np.add.outer(rows * len(cols), cols).ravel(), values.ravel())
 
 
 def train_cbow(
@@ -201,6 +266,7 @@ def train_cbow(
 
     # flat views of the two C-contiguous arrays, for the 1-D scatter
     inputs_flat, out_flat = model.inputs.reshape(-1), model.word_out.reshape(-1)
+    word_in, bucket_vecs, word_out, constituents = model.word_in, model.bucket_vecs, model.word_out, model._constituents
     cols = np.arange(dim)
     rng = np.random.default_rng(params.seed)
     processed = 0
@@ -208,18 +274,16 @@ def train_cbow(
         for sent in sentences:
             alpha = params.lr * max(1.0 - processed / total_tokens, 0.0)
             processed += len(sent)
-            kept = sent[rng.random(len(sent)) < keep_prob[sent]]
-            for pos in range(len(kept)):
+            kept = sent[rng.random(len(sent)) < keep_prob[sent]].tolist()
+            for pos, center in enumerate(kept):
                 b = int(rng.integers(1, params.window + 1))
-                context = np.concatenate([kept[max(0, pos - b) : pos], kept[pos + 1 : pos + 1 + b]])
-                if len(context) == 0:
+                context = kept[max(0, pos - b) : pos] + kept[pos + 1 : pos + 1 + b]
+                if not context:
                     continue
-                center = int(kept[pos])
-                negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
+                negs = noise_cdf.searchsorted(rng.random(params.negatives))
                 negs = negs[negs != center]
-                ctx_ids = [model._constituents[c] for c in context]
                 _, (ids, grads), (targets, out_grads) = cbow_pair_loss(
-                    model.word_in, model.bucket_vecs, model.word_out, ctx_ids, center, negs)
+                    word_in, bucket_vecs, word_out, [constituents[c] for c in context], center, negs)
                 # scaled in place (both are fresh arrays), so the flat index is
                 # the update's one temporary and adds nothing to the peak memory
                 out_grads *= alpha

@@ -461,6 +461,19 @@ def test_embed_train_output_feeds_train(tmp_path, capsys):
     assert (external_out / "model.bin").read_bytes() == (out / "model.bin").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["embed-train", "train"])
+def test_a_bucket_table_too_large_to_allocate_is_named(tmp_path, capsys, command):
+    # 10**12 rows of 100 float64 values (728 TiB) exceed any process's address
+    # space, so the allocation fails before it touches memory
+    config, out = write_config(tmp_path, **{"embeddings.buckets": 10**12, "embeddings.dim": 100})
+    assert cli.main([command, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: config keys embeddings\.buckets 1000000000000 and embeddings\.dim 100 ask for too "
+                        r"much memory: the input table of 1,000,000,000,\d{3} rows x 100 float64 values "
+                        r"\(745,058\.\d GiB\) cannot be allocated\n", err), err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command, key", [("preprocess", "data.seed"), ("tune-pu", "baseline.folds")])
 def test_null_scalar_setting_is_named(tmp_path, capsys, command, key):
     config, _ = write_config(tmp_path, **{key: None})

@@ -69,6 +69,55 @@ class TestNgrams:
         with pytest.raises(ValueError):
             NgramConfig(min_ngram=4, max_ngram=3)
 
+    # ASCII, then 2-, 3- and 4-byte UTF-8 characters, alone and mixed, and one-character words
+    WORDS = ["car", "a", "é", "€", "🙂", "café", "€uro", "x🙂y", "naïve🙂🙂€", "ab", "abcdefghijklmnop"]
+
+    @pytest.mark.parametrize("buckets", [1, 97, 2**32 + 1])
+    @pytest.mark.parametrize("min_ngram, max_ngram", [(3, 6), (1, 1), (1, 9), (5, 6)])
+    def test_array_hashing_equals_fnv_of_each_ngram(self, buckets, min_ngram, max_ngram):
+        # 2**32 + 1 is a Python int that no uint32 array holds
+        cfg = NgramConfig(min_ngram=min_ngram, max_ngram=max_ngram, buckets=buckets)
+        ids, counts = embeddings._ngram_buckets(self.WORDS, cfg)
+        expected = [[fnv1a_32(g.encode("utf-8")) % buckets for g in ngram_strings(w, cfg)] for w in self.WORDS]
+        assert ids.tolist() == [b for word in expected for b in word]
+        assert counts.tolist() == [len(word) for word in expected]
+
+    @given(st.lists(st.text(min_size=1, max_size=9), min_size=1, max_size=6),
+           st.integers(1, 4), st.integers(0, 3), st.integers(1, 2**33))
+    def test_array_hashing_equals_extract_ngrams(self, words, min_ngram, extra, buckets):
+        cfg = NgramConfig(min_ngram=min_ngram, max_ngram=min_ngram + extra, buckets=buckets)
+        ids, counts = embeddings._ngram_buckets(words, cfg)
+        assert ids.tolist() == [b for w in words for b in extract_ngrams(w, cfg)]
+        assert counts.tolist() == [len(extract_ngrams(w, cfg)) for w in words]
+
+    def test_array_hashing_leaves_lead_zeros_before_each_word(self):
+        cfg = NgramConfig(min_ngram=5, buckets=97)  # "a" and "ab" have no n-grams
+        ids, counts = embeddings._ngram_buckets(self.WORDS, cfg, lead=2)
+        assert ids.tolist() == [b for w in self.WORDS for b in [0, 0] + extract_ngrams(w, cfg)]
+        assert counts.tolist() == [len(extract_ngrams(w, cfg)) for w in self.WORDS]
+
+    def test_array_hashing_rejects_an_empty_word(self):
+        with pytest.raises(ValueError, match="empty word"):
+            embeddings._ngram_buckets(["car", ""], NgramConfig())
+
+    @pytest.mark.parametrize("block", [1, 4, 1024])
+    @pytest.mark.parametrize("min_ngram", [3, 5])
+    def test_constituents_are_the_word_then_its_ngram_rows(self, tmp_path, monkeypatch, block, min_ngram):
+        # blocks smaller than the vocabulary, so the ids cross block boundaries; at
+        # min_ngram 5 the one- and two-character words have no n-grams at all
+        monkeypatch.setattr(embeddings, "_HASH_BLOCK", block)
+        cfg = NgramConfig(min_ngram=min_ngram, buckets=97)
+        tokens = self.WORDS + [f"w{i}" for i in range(7)]
+        model = FastTextModel.init(tokens, 3, cfg, seed=0)
+        save_fasttext(model, tmp_path / "ft.txt")
+        loaded = load_fasttext(tmp_path / "ft.txt", NgramConfig(min_ngram=min_ngram))
+        v = len(tokens)
+        for m in (model, loaded):
+            assert len(m._constituents) == v
+            for i, t in enumerate(tokens):
+                assert m.constituent_ids(t).tolist() == [i] + [v + b for b in extract_ngrams(t, cfg)]
+            assert m.constituent_ids("🙂zz").tolist() == [v + b for b in extract_ngrams("🙂zz", cfg)]
+
 
 class TestWordVector:
     @staticmethod
@@ -208,6 +257,98 @@ class TestTrainCbow:
         fresh = FastTextModel.init(trained.tokens, 8, NgramConfig(buckets=40), seed=3)
         assert np.array_equal(trained.inputs, ref.inputs) and np.array_equal(trained.word_out, ref.word_out)
         assert not np.array_equal(trained.inputs, fresh.inputs) and trained.word_out.any()
+
+    @staticmethod
+    def _reference_cbow(token_lists, cfg, params, dim):
+        """The per-pair trainer spelled out: constituents from `extract_ngrams`,
+        the rows gathered by a word/bucket mask, the labels as a vector and each
+        update by the 2-D `np.subtract.at`; returns the model and its pair count."""
+        tokens = list(dict.fromkeys(tok for sent in token_lists for tok in sent))
+        model = FastTextModel.init(tokens, dim, cfg, params.seed)
+        v = len(tokens)
+        constituents = [np.array([i] + [v + b for b in extract_ngrams(t, cfg)]) for i, t in enumerate(tokens)]
+        sentences = [np.array([tokens.index(tok) for tok in sent], dtype=int) for sent in token_lists]
+        counts = np.bincount(np.concatenate(sentences), minlength=v)
+        total = int(counts.sum())
+        keep_prob = np.ones(v)
+        if params.subsample > 0:
+            f = counts / total
+            keep_prob = np.minimum(1.0, (np.sqrt(f / params.subsample) + 1.0) * (params.subsample / f))
+        noise = counts**0.75
+        noise_cdf = np.cumsum(noise / noise.sum())
+        noise_cdf[-1] = 1.0
+        rng = np.random.default_rng(params.seed)
+        processed = pairs = 0
+        for _ in range(params.epochs):
+            for sent in sentences:
+                alpha = params.lr * max(1.0 - processed / (total * params.epochs), 0.0)
+                processed += len(sent)
+                kept = sent[rng.random(len(sent)) < keep_prob[sent]]
+                for pos in range(len(kept)):
+                    b = int(rng.integers(1, params.window + 1))
+                    context = np.concatenate([kept[max(0, pos - b) : pos], kept[pos + 1 : pos + 1 + b]])
+                    if len(context) == 0:
+                        continue
+                    center = int(kept[pos])
+                    negs = np.searchsorted(noise_cdf, rng.random(params.negatives))
+                    negs = negs[negs != center]
+                    ctx = [constituents[c] for c in context]
+                    lens = [len(c) for c in ctx]
+                    ids = np.concatenate(ctx)
+                    weights = np.repeat(1.0 / (len(lens) * np.array(lens)), lens)
+                    rows = np.empty((len(ids), dim))
+                    word = ids < v
+                    rows[word] = model.word_in[ids[word]]
+                    rows[~word] = model.bucket_vecs[ids[~word] - v]
+                    h = weights @ rows
+                    targets = np.concatenate([[center], negs]).astype(int)
+                    labels = np.zeros(len(targets))
+                    labels[0] = 1.0
+                    out_rows = model.word_out[targets]
+                    dscores = nn.sigmoid(out_rows @ h) - labels
+                    grad_h = dscores @ out_rows
+                    np.subtract.at(model.word_out, targets, alpha * (dscores[:, None] * h))
+                    np.subtract.at(model.inputs, ids, alpha * (weights[:, None] * grad_h))
+                    pairs += 1
+        return model, pairs
+
+    # sentences of 1 to 6 tokens under an 8-token window, tokens repeated within
+    # a window, non-ASCII tokens, and 40 buckets, so that n-grams collide
+    REFERENCE_SENTENCES = [["aa", "bb", "aa", "aa"], ["café", "bb"], ["🙂"], ["€", "aa", "€", "café", "dd", "bb"]]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_training_equals_the_reference_trainer(self, seed):
+        rng = np.random.default_rng(seed)
+        vocab = ["aa", "bb", "cc", "dd", "café", "€", "🙂", "naïve"]
+        sents = self.REFERENCE_SENTENCES + [list(rng.choice(vocab, size=rng.integers(1, 7))) for _ in range(40)]
+        args = (sents, NgramConfig(buckets=40), CbowTrainParams(window=8, epochs=2, subsample=0.05, seed=seed), 6)
+        trained = train_cbow(*args)
+        ref, pairs = self._reference_cbow(*args)
+        assert pairs > 100
+        # subsampling dropped some tokens, so the pairs are fewer than the tokens
+        assert pairs < 2 * sum(len(s) for s in sents)
+        assert trained.inputs.tobytes() == ref.inputs.tobytes()
+        assert trained.word_out.tobytes() == ref.word_out.tobytes()
+
+    def test_one_hooked_pair_loss_per_pair_with_one_sigmoid(self, monkeypatch):
+        # the tracer counts pairs from the spans of embeddings.cbow_pair_loss,
+        # looked up through the module global, and times the sigmoid inside it
+        sigmoids, per_call = [], []
+        monkeypatch.setattr(embeddings, "sigmoid", lambda *a, **k: sigmoids.append(1) or nn.sigmoid(*a, **k))
+        original = embeddings.cbow_pair_loss
+
+        def counting(*args):
+            before = len(sigmoids)
+            result = original(*args)
+            per_call.append(len(sigmoids) - before)
+            return result
+
+        monkeypatch.setattr(embeddings, "cbow_pair_loss", counting)
+        args = (self.REFERENCE_SENTENCES * 5, NgramConfig(buckets=40),
+                CbowTrainParams(window=8, epochs=2, subsample=0.05, seed=0), 6)
+        train_cbow(*args)
+        _, pairs = self._reference_cbow(*args)
+        assert len(per_call) == pairs > 0 and set(per_call) == {1}
 
     def test_topic_clusters_separate(self):
         rng = np.random.default_rng(11)
